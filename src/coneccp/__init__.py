@@ -27,8 +27,8 @@ from .dc import (ComponentwiseDcMatrix, ConeDcMap, ConeDerivative,
                  lambda_max_subgradient, offdiag_dc_extraction,
                  regularized_dc_decomposition, verify_k_convexity)
 from .errors import (BoundTooSmall, ConeCcpError, InfeasibleStart,
-                     InvalidElement, InvalidPenalty, OracleCheckError,
-                     SchemaError, SubproblemInfeasible)
+                     InvalidElement, InvalidPenalty, InvariantViolation,
+                     OracleCheckError, SchemaError, SubproblemInfeasible)
 from .feasible import FeasibleSet, box
 from .inner import SlaterProbe, SolveReport, slater_probe, solve_convex
 from .library import (ProblemInstance, builtin, example29, quadratic_sdp,

@@ -1,7 +1,6 @@
-"""Pure-python (numpy) simplex pivot kernel.
+"""Primal simplex pivot kernel (numpy).
 
-Mirrors ``_simplex_cy`` exactly: identical pivot selection rules so both
-backends visit the same basis sequence.  The tableau layout is
+The tableau layout is
 
     T[0:m, :]   constraint rows, right-hand side in the last column
     T[m, :]     reduced-cost row, negated objective value in the last column

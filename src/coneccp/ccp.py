@@ -19,7 +19,8 @@ import numpy as np
 
 from . import inner
 from .cones import dist_to_neg_cone
-from .errors import ConeCcpError, InfeasibleStart, SubproblemInfeasible
+from .errors import (ConeCcpError, InfeasibleStart, InvariantViolation,
+                     SubproblemInfeasible)
 from .subproblem import build_constrained
 
 CRITICAL_FIXED_POINT = "critical_fixed_point"
@@ -29,10 +30,6 @@ MAX_ITER = "max_iter"
 
 FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
 DESCENT_SLACK = 1e-8
-
-
-class InvariantViolation(ConeCcpError):
-    """A guaranteed property failed at runtime (inner solver inconsistency)."""
 
 
 @dataclass

@@ -45,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_problem_args(p):
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--problem", metavar="FILE", help="JSON problem file")
+    src.add_argument("--problem", metavar="FILE",
+                     help="JSON problem file, or the JSON text itself")
     src.add_argument("--builtin", metavar="NAME",
                      help="built-in instance name (see `list builtins`)")
 

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidElement, InvalidPenalty
+from .errors import InvalidElement, InvalidPenalty, InvariantViolation
 
 # Relative asymmetry above which a PSD block is rejected instead of symmetrized.
 SYM_RTOL = 1e-8
@@ -262,5 +262,6 @@ def lambda_max_scalarize(y: ConeElement) -> Scalarization:
             val = float(a[i])
         if best is None or val > best.value:
             best = Scalarization(val, k, _freeze(vec))
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("cone element without blocks")
     return best

@@ -25,6 +25,10 @@ class SubproblemInfeasible(ConeCcpError):
     """Internal consistency failure: a subproblem that must be feasible is not."""
 
 
+class InvariantViolation(ConeCcpError):
+    """A property the theory guarantees failed at runtime."""
+
+
 class OracleCheckError(ConeCcpError):
     """An oracle failed its construction-time self checks."""
 

@@ -4,7 +4,8 @@ Kelley cutting planes with an LP master over the box and affine rows: linear
 underestimators of the objective (and of the single scalarized convex
 constraint in constrained mode) accumulate until the certified gap between
 the incumbent and the master lower bound drops below tolerance.  Master LPs
-are solved by the dense simplex in :mod:`coneccp.lp`.
+are solved by the dense simplex in :mod:`coneccp.lp`, each one warm started
+from the previous master of the same loop.
 
 One-dimensional subproblems take a bisection shortcut on the subgradient
 sign change; it must agree with the general path within tolerance and is
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .errors import InvariantViolation
 from .feasible import FeasibleSet
 from .subproblem import CONSTRAINED, LinearizedConstraint, SubproblemSpec
 
@@ -28,7 +30,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITER_LIMIT = "iter_limit"
 
-_LB_SLACK = 1e-7  # tolerance for the monotone-lower-bound assertion
+_LB_SLACK = 1e-7  # tolerance of the monotone-lower-bound check
 
 
 @dataclass
@@ -96,11 +98,38 @@ def slater_probe(constraint: LinearizedConstraint, fs: FeasibleSet,
 # General path: Kelley cutting planes
 
 
-def _master_rows(cuts, extra_col):
-    """Rows g'x (+ extra_col * t) <= g'p - f for cut triples (f, g, p)."""
-    A = np.array([np.concatenate([g, [extra_col]]) for f, g, p in cuts])
-    b = np.array([float(g @ p) - f for f, g, p in cuts])
-    return A, b
+class _Master:
+    """The growing master LP of one Kelley loop: minimize the epigraph
+    variable t over the set's affine rows and the cuts made so far.
+
+    Rows are only ever appended, so each solve re-optimizes warm from the
+    previous one; a new loop starts a fresh tableau.
+    """
+
+    def __init__(self, fs: FeasibleSet):
+        self.lo = np.concatenate([fs.lo, [-np.inf]])
+        self.hi = np.concatenate([fs.hi, [np.inf]])
+        self.c = np.concatenate([np.zeros(fs.dim), [1.0]])
+        self.rows = [np.append(a, 0.0) for a in fs.affine_A]
+        self.rhs = [float(v) for v in fs.affine_b]
+        self.n_affine = len(self.rows)
+        self.state = None
+
+    @property
+    def cuts(self):
+        return len(self.rows) - self.n_affine
+
+    def cut(self, f, g, p, epigraph):
+        """Add g'x - t <= g'p - f (an objective cut) when ``epigraph``,
+        else g'x <= g'p - f (a constraint cut)."""
+        self.rows.append(np.append(g, -1.0 if epigraph else 0.0))
+        self.rhs.append(float(g @ p) - f)
+
+    def solve(self):
+        res = lp.solve_lp(self.c, np.array(self.rows), np.array(self.rhs),
+                          self.lo, self.hi, warm=self.state)
+        self.state = res.state
+        return res
 
 
 def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
@@ -108,20 +137,17 @@ def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
     d = fs.dim
     obj = spec.objective
     con = spec.constraint
-    lo = np.concatenate([fs.lo, [-np.inf]])
-    hi = np.concatenate([fs.hi, [np.inf]])
-    c_lp = np.concatenate([np.zeros(d), [1.0]])
-
-    obj_cuts: list[tuple] = []
-    con_cuts: list[tuple] = []
+    master = _Master(fs)
+    con_points: list[np.ndarray] = []
 
     def add_point(x):
         f = obj.value(x)
-        obj_cuts.append((f, obj.subgrad(x), x))
+        master.cut(f, obj.subgrad(x), x, epigraph=True)
         cv = 0.0
         if con is not None:
             cv = con.scalarized(x)
-            con_cuts.append((cv, con.scalarized_subgrad(x), x))
+            master.cut(cv, con.scalarized_subgrad(x), x, epigraph=False)
+            con_points.append(x)
         return f, cv
 
     seeds = [np.asarray(feasible_hint, dtype=float)] if feasible_hint is not None \
@@ -134,30 +160,21 @@ def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
 
     lb = -np.inf
     status = ITER_LIMIT
-    while len(obj_cuts) + len(con_cuts) < max_cuts:
-        A_o, b_o = _master_rows(obj_cuts, -1.0)
-        rows_A = [A_o]
-        rows_b = [b_o]
-        if con_cuts:
-            A_c, b_c = _master_rows(con_cuts, 0.0)
-            rows_A.append(A_c)
-            rows_b.append(b_c)
-        if fs.affine_A.shape[0]:
-            rows_A.append(np.hstack([fs.affine_A,
-                                     np.zeros((fs.affine_A.shape[0], 1))]))
-            rows_b.append(fs.affine_b)
-        res = lp.solve_lp(c_lp, np.vstack(rows_A), np.concatenate(rows_b),
-                          lo, hi)
+    while master.cuts < max_cuts:
+        res = master.solve()
         if res.status == lp.INFEASIBLE:
             # Only the constraint cuts can exclude every box point, and each
             # underestimates the true constraint, so the problem is infeasible.
-            return _certify_infeasible(spec, tol, tol_feas, max_cuts, con_cuts)
+            return _certify_infeasible(spec, tol, tol_feas, max_cuts,
+                                       con_points)
         if res.status != lp.OPTIMAL:
             break
         x_k = res.x[:d]
         r_k = res.value
-        assert r_k >= lb - _LB_SLACK * (1.0 + abs(lb)), \
-            "master lower bound decreased as cuts were added"
+        if r_k < lb - _LB_SLACK * (1.0 + abs(lb)):
+            raise InvariantViolation(
+                f"master lower bound decreased from {lb!r} to {r_k!r} as "
+                f"cuts were added")
         lb = max(lb, r_k)
 
         f_k, cv_k = add_point(x_k)
@@ -171,20 +188,21 @@ def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
 
     if incumbent is None:
         if con is not None:
-            return _certify_infeasible(spec, tol, tol_feas, max_cuts, con_cuts)
-        raise AssertionError("penalized subproblem ended without an incumbent")
+            return _certify_infeasible(spec, tol, tol_feas, max_cuts,
+                                       con_points)
+        raise InvariantViolation(
+            "penalized subproblem ended without an incumbent")
     value, x_best, viol = incumbent
     gap = max(value - lb, 0.0)
     if status != OPTIMAL and gap <= tol:
         status = OPTIMAL
-    return SolveReport(x_best, value, viol, gap, status,
-                       cuts=len(obj_cuts) + len(con_cuts))
+    return SolveReport(x_best, value, viol, gap, status, cuts=master.cuts)
 
 
-def _certify_infeasible(spec, tol, tol_feas, max_cuts, con_cuts):
+def _certify_infeasible(spec, tol, tol_feas, max_cuts, con_points):
     """Sharpen a positive lower bound on the constraint minimum over the set."""
     con = spec.constraint
-    seeds = [p for _, _, p in con_cuts[-4:]] or [spec.feasible_set.center()]
+    seeds = con_points[-4:] or [spec.feasible_set.center()]
     best_x, best_val, lbv, status, cuts = _kelley_min(
         lambda x: con.scalarized(x), lambda x: con.scalarized_subgrad(x),
         spec.feasible_set, min(tol, 1e-8), max_cuts, seeds=seeds)
@@ -204,41 +222,33 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, max_cuts, seeds,
     Returns (best_x, best_value, lower_bound, status, cuts).
     """
     d = fs.dim
-    lo = np.concatenate([fs.lo, [-np.inf]])
-    hi = np.concatenate([fs.hi, [np.inf]])
-    c_lp = np.concatenate([np.zeros(d), [1.0]])
-    cuts: list[tuple] = []
+    master = _Master(fs)
     best = None
     for s in seeds:
         s = np.asarray(s, dtype=float)
         f = value(s)
-        cuts.append((f, subgrad(s), s))
+        master.cut(f, subgrad(s), s, epigraph=True)
         if best is None or f < best[0]:
             best = (f, s)
     lb = -np.inf
     status = ITER_LIMIT
-    while len(cuts) < max_cuts:
+    while master.cuts < max_cuts:
         if stop_below is not None and best[0] < stop_below:
             status = OPTIMAL
             break
-        A, b = _master_rows(cuts, -1.0)
-        if fs.affine_A.shape[0]:
-            A = np.vstack([A, np.hstack([fs.affine_A,
-                                         np.zeros((fs.affine_A.shape[0], 1))])])
-            b = np.concatenate([b, fs.affine_b])
-        res = lp.solve_lp(c_lp, A, b, lo, hi)
+        res = master.solve()
         if res.status != lp.OPTIMAL:
             break
         lb = max(lb, res.value)
         x_k = res.x[:d]
         f_k = value(x_k)
-        cuts.append((f_k, subgrad(x_k), x_k))
+        master.cut(f_k, subgrad(x_k), x_k, epigraph=True)
         if f_k < best[0]:
             best = (f_k, x_k)
         if best[0] - lb <= tol:
             status = OPTIMAL
             break
-    return best[1], best[0], lb, status, len(cuts)
+    return best[1], best[0], lb, status, master.cuts
 
 
 # ---------------------------------------------------------------------------

@@ -3,34 +3,29 @@
 Solves   min c'y   s.t.  A y <= b,  lo <= y <= hi   (entries of lo/hi may be
 infinite) by a textbook two-phase tableau simplex with Dantzig pricing and a
 Bland anti-cycling switch.  Problem sizes here are tiny, so exact dense
-pivoting is both simple and reliable.
+pivoting is both simple and reliable.  The primal pivot loop lives in
+``_simplex_py``.
 
-The pivot loop itself lives in a kernel module with two interchangeable
-implementations: a compiled Cython extension and a numpy fallback.  The
-compiled one is picked at import time when available; set the environment
-variable ``CONECCP_PURE_PYTHON=1`` to force the fallback.
+A Kelley loop solves a chain of masters, each one the previous master with
+a few cut rows appended.  Passing the previous result's ``state`` as
+``warm`` re-optimizes from its optimal basis: the appended rows are
+expressed in that basis, which stays dual feasible, and a dual simplex
+(Lemke; Chvatal, *Linear Programming*, 1983) restores primal feasibility,
+usually in a few pivots.  Whenever the warm answer cannot be trusted (the
+dual loop finds the master infeasible or hits its pivot limit, or the point
+violates a row), the cold two-phase solve decides, so every status means
+what it means without ``warm``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _simplex_py
 
-if os.environ.get("CONECCP_PURE_PYTHON"):
-    _kernel = _simplex_py
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _simplex_cy as _kernel  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        _kernel = _simplex_py
-        KERNEL_BACKEND = "python"
+_kernel = _simplex_py
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,14 +36,41 @@ _PIVOT_TOL = 1e-10
 
 
 @dataclass
+class LpState:
+    """The optimal phase-2 tableau of one master, kept for warm re-solves.
+
+    The kernel columns u >= 0 give ``y[j] = offsets[j] + sum(sign[k] *
+    u[k] for k with src[k] == j)``.  The tableau holds those columns, one
+    slack per row and the right-hand side; phase 1's artificial columns are
+    dropped.
+    """
+
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    T: np.ndarray
+    basis: np.ndarray
+    src: np.ndarray
+    sign: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass
 class LpResult:
     status: str
     x: np.ndarray | None
     value: float
+    state: LpState | None = None  # pass as ``warm=`` to the next master
 
 
-def solve_lp(c, A, b, lo, hi, *, max_pivots=None, kernel=None) -> LpResult:
-    """Minimize c'y over A y <= b, lo <= y <= hi."""
+def solve_lp(c, A, b, lo, hi, *, warm=None) -> LpResult:
+    """Minimize c'y over A y <= b, lo <= y <= hi.
+
+    ``warm`` is the ``state`` of an earlier result whose master this one
+    extends by appended rows of ``A`` and ``b``; any other state is ignored.
+    """
     c = np.asarray(c, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -58,73 +80,69 @@ def solve_lp(c, A, b, lo, hi, *, max_pivots=None, kernel=None) -> LpResult:
         b = np.zeros(0)
     A = np.asarray(A, dtype=float).reshape(-1, n)
     b = np.asarray(b, dtype=float).reshape(-1)
-    kern = kernel if kernel is not None else _kernel
+    if warm is not None and _extends(warm, c, A, b, lo, hi):
+        res = _resolve(warm, A, b)
+        if res is not None:
+            return res
 
-    # Shift/split variables so every simplex variable is >= 0.
-    col_A: list[np.ndarray] = []
-    col_c: list[float] = []
-    recover: list[tuple[int, float]] = []  # (orig index, sign) per kernel column
-    ub_rows: list[tuple[int, float]] = []  # (kernel column, upper bound)
-    offsets = np.zeros(n)  # constant part of each original variable
-    shift = 0.0  # objective constant introduced by the shifts
-    base = np.zeros(A.shape[0])  # rhs correction introduced by the shifts
-
+    # Shift/split variables so every simplex variable is >= 0:
+    # y_j = lo_j + u (u <= hi_j - lo_j when hi_j is finite), y_j = hi_j - u
+    # when only hi_j is finite, and y_j = u+ - u- when y_j is free.
+    src, sign, ub_rows = [], [], []
     for j in range(n):
-        a_col = A[:, j]
-        if np.isfinite(lo[j]):
-            # y_j = lo_j + u,  u >= 0  (and u <= hi_j - lo_j when hi finite)
-            offsets[j] = lo[j]
-            shift += c[j] * lo[j]
-            base += a_col * lo[j]
-            col_A.append(a_col)
-            col_c.append(c[j])
-            recover.append((j, 1.0))
-            if np.isfinite(hi[j]):
-                ub_rows.append((len(col_A) - 1, hi[j] - lo[j]))
-        elif np.isfinite(hi[j]):
-            # y_j = hi_j - u,  u >= 0
-            offsets[j] = hi[j]
-            shift += c[j] * hi[j]
-            base += a_col * hi[j]
-            col_A.append(-a_col)
-            col_c.append(-c[j])
-            recover.append((j, -1.0))
-        else:
-            # free: y_j = u+ - u-
-            col_A.append(a_col)
-            col_c.append(c[j])
-            recover.append((j, 1.0))
-            col_A.append(-a_col)
-            col_c.append(-c[j])
-            recover.append((j, -1.0))
+        if np.isfinite(lo[j]) or not np.isfinite(hi[j]):
+            src.append(j)
+            sign.append(1.0)
+            if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+                ub_rows.append((len(src) - 1, hi[j] - lo[j]))
+        if not np.isfinite(lo[j]):
+            src.append(j)
+            sign.append(-1.0)
+    src, sign = np.array(src, dtype=np.int64), np.array(sign)
+    offsets = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
 
-    nk = len(col_A)
+    nk = src.size
     m0 = A.shape[0]
-    m = m0 + len(ub_rows)
-    Ak = np.zeros((m, nk))
-    bk = np.zeros(m)
-    for jj, a_col in enumerate(col_A):
-        Ak[:m0, jj] = a_col
-    bk[:m0] = b - base
-    for r, (col_idx, bound) in enumerate(ub_rows):
-        Ak[m0 + r, col_idx] = 1.0
+    Ak = np.zeros((m0 + len(ub_rows), nk))
+    bk = np.zeros(m0 + len(ub_rows))
+    Ak[:m0] = A[:, src] * sign
+    bk[:m0] = b - A @ offsets
+    for r, (col, bound) in enumerate(ub_rows):
+        Ak[m0 + r, col] = 1.0
         bk[m0 + r] = bound
 
-    status, u, val = _two_phase(Ak, bk, np.asarray(col_c), kern, max_pivots)
-    if u is None:
+    status, T, basis = _two_phase(Ak, bk, c[src] * sign)
+    if status != OPTIMAL:
         return LpResult(status, None, np.nan)
-
-    y = offsets.copy()
-    for jj, (j, sgn) in enumerate(recover):
-        y[j] += sgn * u[jj]
-    return LpResult(status, y, val + shift)
+    st = LpState(c, A, b, lo, hi, T, basis, src, sign, offsets)
+    # a warm re-solve cannot start from a basis holding an artificial
+    return _result(st, warmable=bool(np.all(basis < T.shape[1] - 1)))
 
 
-def _two_phase(A, b, c, kern, max_pivots):
-    """Simplex on  min c'u  s.t.  A u <= b, u >= 0  (b of any sign)."""
+def _result(st: LpState, warmable: bool) -> LpResult:
+    """The optimal point and value of st's tableau."""
+    u = np.zeros(st.T.shape[1])  # an artificial left basic maps to the last
+    u[st.basis] = st.T[:-1, -1]
+    y = st.offsets.copy()
+    y += np.bincount(st.src, st.sign * u[:st.src.size], minlength=y.size)
+    value = float(-st.T[-1, -1]) + float(st.c @ st.offsets)
+    return LpResult(OPTIMAL, y, value, st if warmable else None)
+
+
+def _feas_tol(b):
+    """Phase 1's tolerance on the total infeasibility of rows with rhs b."""
+    return 1e-9 * (1.0 + float(np.abs(b).sum()))
+
+
+def _two_phase(A, b, c):
+    """Simplex on  min c'u  s.t.  A u <= b, u >= 0  (b of any sign).
+
+    Returns the status and, when optimal, the final tableau without the
+    artificial columns and its basis; a basis index equal to the tableau's
+    last column stands for an artificial left basic at level zero.
+    """
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 200 + 25 * (m + n)
+    max_pivots = 200 + 25 * (m + n)
 
     neg = b < 0
     n_art = int(np.count_nonzero(neg))
@@ -151,12 +169,12 @@ def _two_phase(A, b, c, kern, max_pivots):
         for i in range(m):
             if basis[i] >= n + m:
                 T[m, :] -= T[i, :]
-        status, _ = kern.pivot_loop(T, basis, n + m + n_art, _PIVOT_TOL,
-                                    max_pivots)
+        status, _ = _kernel.pivot_loop(T, basis, n + m + n_art, _PIVOT_TOL,
+                                       max_pivots)
         if status == _simplex_py.ITER_LIMIT:
-            return ITER_LIMIT, None, np.nan
-        if -T[m, -1] > 1e-9 * (1.0 + float(np.abs(b).sum())):
-            return INFEASIBLE, None, np.nan
+            return ITER_LIMIT, None, None
+        if -T[m, -1] > _feas_tol(b):
+            return INFEASIBLE, None, None
         # Drive any lingering artificial out of the basis when possible.
         for i in range(m):
             if basis[i] >= n + m:
@@ -173,12 +191,85 @@ def _two_phase(A, b, c, kern, max_pivots):
         if bj < n and c[bj] != 0.0:
             T[m, :] -= c[bj] * T[i, :]
 
-    status, _ = kern.pivot_loop(T, basis, n + m, _PIVOT_TOL, max_pivots)
+    status, _ = _kernel.pivot_loop(T, basis, n + m, _PIVOT_TOL, max_pivots)
     if status == _simplex_py.ITER_LIMIT:
-        return ITER_LIMIT, None, np.nan
+        return ITER_LIMIT, None, None
     if status == _simplex_py.UNBOUNDED:
-        return UNBOUNDED, None, np.nan
+        return UNBOUNDED, None, None
+    if n_art:
+        T = np.delete(T, np.s_[n + m:n + m + n_art], axis=1)
+        basis = np.minimum(basis, n + m)
+    return OPTIMAL, T, basis
 
-    u = np.zeros(n + m + n_art)
-    u[basis] = T[:m, -1]
-    return OPTIMAL, u[:n], float(-T[m, -1])
+
+# ---------------------------------------------------------------------------
+# Warm re-solves
+
+
+def _extends(st: LpState, c, A, b, lo, hi):
+    """Whether (c, A, b, lo, hi) is st's master with rows appended."""
+    m0 = st.A.shape[0]
+    return A.shape[0] > m0 and all(
+        u is v or (u.shape == v.shape and (u == v).all())
+        for u, v in ((c, st.c), (lo, st.lo), (hi, st.hi), (A[:m0], st.A),
+                     (b[:m0], st.b)))
+
+
+def _resolve(st: LpState, A, b):
+    """Re-optimize st's tableau with the rows of A, b past st's master
+    appended; None when the cold path must decide."""
+    new_A, new_b = A[st.A.shape[0]:], b[st.A.shape[0]:]
+    k = new_b.size
+    m = st.T.shape[0] - 1
+    w = st.T.shape[1] - 1  # columns before the right-hand side
+    T = np.zeros((m + k + 1, w + k + 1))
+    T[:m, :w] = st.T[:m, :w]
+    T[m + k, :w] = st.T[m, :w]
+    T[:m, -1] = st.T[:m, -1]
+    T[m + k, -1] = st.T[m, -1]
+    rows = T[m:m + k]
+    rows[:, :st.src.size] = new_A[:, st.src] * st.sign
+    rows[range(k), range(w, w + k)] = 1.0
+    rows[:, -1] = new_b - new_A @ st.offsets
+    # Express the new rows in the current basis (zero on its columns, as
+    # the kernel keeps them exactly); their slacks enter it.
+    rows -= rows[:, st.basis] @ T[:m]
+    rows[:, st.basis] = 0.0
+    basis = np.concatenate([st.basis, np.arange(w, w + k)])
+
+    max_pivots = 200 + 25 * (m + k + st.src.size)
+    status, _ = _dual_simplex(T, basis, max_pivots)
+    if status != OPTIMAL:
+        return None
+    status, _ = _kernel.pivot_loop(T, basis, w + k, _PIVOT_TOL, max_pivots)
+    if status != _simplex_py.OPTIMAL:
+        return None
+    res = _result(LpState(st.c, A, b, st.lo, st.hi, T, basis, st.src,
+                          st.sign, st.offsets), warmable=True)
+    if (A @ res.x - b).max() > _feas_tol(b):
+        return None
+    return res
+
+
+def _dual_simplex(T, basis, max_pivots):
+    """Dual simplex on a tableau whose reduced costs are nonnegative.
+
+    Most negative right-hand side leaves; the entering column minimizes
+    reduced cost over minus the row entry.  Returns (status, pivots) with
+    status OPTIMAL once every right-hand side is nonnegative, INFEASIBLE
+    when a negative row has no negative entry, or ITER_LIMIT.
+    """
+    m = T.shape[0] - 1
+    for pivots in range(max_pivots):
+        row = int(np.argmin(T[:m, -1]))
+        if T[row, -1] >= -_PIVOT_TOL:
+            return OPTIMAL, pivots
+        entries = T[row, :-1]
+        cols = np.nonzero(entries < -_PIVOT_TOL)[0]
+        if cols.size == 0:
+            return INFEASIBLE, pivots
+        ratios = np.maximum(T[m, cols], 0.0) / -entries[cols]
+        col = int(cols[np.argmin(ratios)])
+        _simplex_py._pivot(T, row, col)
+        basis[row] = col
+    return ITER_LIMIT, max_pivots

@@ -22,22 +22,37 @@ from .library import (ProblemInstance, _poly_oracle, builtin,
 KINDS = ("builtin", "quadratic_sdp", "scalar_dc_polynomial")
 
 
-def load_problem(source) -> ProblemInstance:
-    """Load an instance from a path, JSON string, or already-parsed dict."""
+def _read_source(source) -> dict:
+    """The JSON object behind a problem source.
+
+    A string whose first non-blank character is ``{`` is JSON text; any
+    other string or a ``Path`` names a file; anything else is taken as the
+    already-parsed document.
+    """
+    doc = source
     if isinstance(source, (str, Path)):
-        p = Path(source)
-        if p.exists():
-            text = p.read_text()
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
         else:
-            text = str(source)
+            try:
+                text = Path(source).read_text()
+            except FileNotFoundError:
+                raise SchemaError(f"problem file not found: {source}") from None
+            except OSError as exc:
+                raise SchemaError(f"cannot read problem file {source}: "
+                                  f"{exc.strerror}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = source
     if not isinstance(doc, dict):
         raise SchemaError("problem file must be a JSON object")
+    return doc
+
+
+def load_problem(source) -> ProblemInstance:
+    """Load an instance from a path, JSON string, or already-parsed dict."""
+    doc = _read_source(source)
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -58,15 +73,7 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
     diagonal matrices of their constraint rows; quadratic instances are
     split entrywise by curvature sign.
     """
-    if isinstance(source, (str, Path)):
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = source
+    doc = _read_source(source)
     kind = doc.get("kind")
     if kind == "builtin" and doc.get("name") == "example29":
         doc = {"kind": "scalar_dc_polynomial", "name": "example29",

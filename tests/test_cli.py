@@ -164,6 +164,31 @@ class TestProblemFiles:
                                "--x0", "0")
         assert code == 3
 
+    def test_problem_given_as_json_text(self, capsys):
+        # far longer than a file name may be: parsed, never looked up
+        text = json.dumps(json.loads(
+            (DOCS / "quadratic_sdp_small.json").read_text()))
+        assert len(text) > 255
+        code, out, _ = run_cli(capsys, "solve", "ccp", "--problem", text,
+                               "--x0", "0,0", "--json")
+        assert code == 0
+        assert len(json.loads(out)["x"]) == 2
+        F, _, _ = load_componentwise(text)
+        assert F.order == 2
+
+    def test_missing_or_unreadable_problem_file(self, capsys):
+        missing = str(DOCS / "missing.json")
+        code, _, err = run_cli(capsys, "solve", "ccp", "--problem", missing,
+                               "--x0", "0,0")
+        assert code == 3
+        assert f"problem file not found: {missing}" in err
+        with pytest.raises(SchemaError, match="problem file not found"):
+            load_componentwise(missing)
+        code, _, err = run_cli(capsys, "solve", "ccp", "--problem", str(DOCS),
+                               "--x0", "0,0")
+        assert code == 3
+        assert "cannot read problem file" in err
+
     def test_componentwise_views(self):
         F, fs, _ = load_componentwise({"kind": "builtin", "name": "example29"})
         x = np.array([1.3])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from coneccp import inner
+from coneccp import inner, lp
 from coneccp.dc import ConvexOracle, quadratic_oracle
-from coneccp.errors import ConeCcpError
+from coneccp.errors import ConeCcpError, InvariantViolation
 from coneccp.feasible import FeasibleSet, box
 from coneccp.library import example29
 from coneccp.subproblem import (PENALIZED, build_constrained,
@@ -38,14 +38,20 @@ class TestAgainstProjectedGradient:
 
 
 class TestGeneralPath:
-    def test_monotone_lower_bound_assertion_is_armed(self):
-        # the solver asserts per-iteration monotonicity internally; a normal
-        # run must complete without tripping it
-        rng = np.random.default_rng(1)
+    def test_monotone_lower_bound_assertion_is_armed(self, monkeypatch):
+        # a master whose lower bound drops as cuts are added must raise,
+        # also under python -O
+        bounds = iter([-10.0, -20.0])
+
+        def decreasing(c, A, b, lo, hi, **kwargs):
+            return lp.LpResult(lp.OPTIMAL, np.zeros(c.size), next(bounds))
+
+        monkeypatch.setattr(inner.lp, "solve_lp", decreasing)
         Q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        rep = inner.solve_convex(bare_spec(quadratic_oracle(Q, np.array([0.4, -1.0])),
-                                           box([-1, -1], [1, 1])))
-        assert rep.status == inner.OPTIMAL
+        spec = bare_spec(quadratic_oracle(Q, np.array([0.4, -1.0])),
+                         box([-1, -1], [1, 1]))
+        with pytest.raises(InvariantViolation, match="lower bound decreased"):
+            inner.solve_convex(spec)
 
     def test_iter_limit_status(self):
         Q = np.array([[2.0, 0.0], [0.0, 1.0]])

@@ -1,14 +1,12 @@
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coneccp import _simplex_py, lp
-
-try:
-    from coneccp import _simplex_cy
-except ImportError:
-    _simplex_cy = None
+from coneccp import lp
 
 try:
     from scipy.optimize import linprog
@@ -125,21 +123,112 @@ class TestSolveLp:
         assert res.value == pytest.approx(-0.05, abs=1e-9)
 
 
-@pytest.mark.skipif(_simplex_cy is None, reason="compiled kernel not built")
-class TestBackendEquivalence:
-    def test_identical_solutions(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 9))
-            c = rng.normal(size=n)
-            A = rng.normal(size=(m, n))
-            b = rng.normal(size=m) + 1.0
-            lo = rng.uniform(-3, 0, n)
-            hi = rng.uniform(0.5, 3, n)
-            r_py = lp.solve_lp(c, A, b, lo, hi, kernel=_simplex_py)
-            r_cy = lp.solve_lp(c, A, b, lo, hi, kernel=_simplex_cy)
-            assert r_py.status == r_cy.status
-            if r_py.status == lp.OPTIMAL:
-                assert r_py.value == r_cy.value
-                assert np.array_equal(r_py.x, r_cy.x)
+def highs(c, A, b, lo, hi):
+    """(status, value) of scipy's HiGHS, in lp's status names."""
+    ref = linprog(c, A_ub=A if A.shape[0] else None,
+                  b_ub=b if A.shape[0] else None,
+                  bounds=[(l if np.isfinite(l) else None,
+                           h if np.isfinite(h) else None)
+                          for l, h in zip(lo, hi)],
+                  method="highs")
+    status = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[ref.status]
+    return status, ref.fun
+
+
+@contextmanager
+def counting_kernel_calls():
+    """Yields a list of [calls, pivots] pairs: append one before each
+    solve, and the wrapped primal kernel counts into the last."""
+    calls = []
+    kernel = lp._kernel
+    pivot_loop = kernel.pivot_loop
+
+    def counted(*args, **kwargs):
+        status, pivots = pivot_loop(*args, **kwargs)
+        calls[-1][0] += 1
+        calls[-1][1] += pivots
+        return status, pivots
+
+    kernel.pivot_loop = counted
+    try:
+        yield calls
+    finally:
+        kernel.pivot_loop = pivot_loop
+
+
+HALVES = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+
+@st.composite
+def master_chains(draw):
+    """A chain of Kelley masters over a box in x and a free epigraph
+    variable t: affine rows, then one or two rows appended per step.
+
+    Rows repeat or scale earlier ones (degenerate masters), and a last
+    constraint cut may exclude the whole box (an infeasible master).
+    """
+    d = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.integers(-3, 0), min_size=d, max_size=d)),
+                  dtype=float)
+    hi = lo + draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    vec = st.lists(HALVES, min_size=d, max_size=d).map(np.array)
+    rows, rhs = [], []
+
+    def add(g, t_coef, beta):
+        rows.append(np.append(g, t_coef))
+        rhs.append(float(beta))
+
+    for _ in range(draw(st.integers(0, 2))):  # affine rows
+        a = draw(vec)
+        add(a, 0.0, a @ (lo + hi) / 2 + draw(st.integers(0, 2)))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(
+                ["objective", "objective", "constraint", "repeat", "parallel"]))
+            if kind in ("repeat", "parallel") and rows:
+                k = draw(st.integers(0, len(rows) - 1))
+                scale = 1.0 if kind == "repeat" else draw(
+                    st.sampled_from([0.5, 2.0, 3.0]))
+                rows.append(scale * rows[k])
+                rhs.append(scale * rhs[k] + draw(st.sampled_from([0.0, 1.0])))
+            else:
+                add(draw(vec), -1.0 if kind == "objective" else 0.0,
+                    draw(HALVES))
+        steps.append(len(rows))
+    if draw(st.integers(0, 3)) == 0:
+        # a constraint cut g'x <= beta below the minimum of g'x over the box
+        g = draw(vec)
+        add(g, 0.0, np.minimum(g * lo, g * hi).sum() - 0.5)
+        steps.append(len(rows))
+    c = np.append(np.zeros(d), 1.0)
+    lo = np.append(lo, -np.inf)
+    hi = np.append(hi, np.inf)
+    return c, np.array(rows), np.array(rhs), lo, hi, steps
+
+
+@pytest.mark.skipif(linprog is None, reason="scipy unavailable")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(master_chains())
+def test_warm_chain_matches_cold_and_highs(chain):
+    c, A, b, lo, hi, steps = chain
+    state = None
+    with counting_kernel_calls() as calls:
+        for m in steps:
+            calls.append([0, 0])
+            warm = lp.solve_lp(c, A[:m], b[:m], lo, hi, warm=state)
+            kernel_warm = tuple(calls[-1])
+            cold = lp.solve_lp(c, A[:m], b[:m], lo, hi)
+            ref_status, ref_value = highs(c, A[:m], b[:m], lo, hi)
+            assert warm.status == cold.status == ref_status
+            if ref_status == lp.OPTIMAL:
+                scale = max(1.0, abs(ref_value))
+                assert abs(warm.value - ref_value) <= 1e-7 * scale
+                assert abs(cold.value - ref_value) <= 1e-7 * scale
+                assert np.all(A[:m] @ warm.x <= b[:m] + 1e-9)
+                if state is not None:
+                    # re-optimized from the previous basis: no phase 1, and
+                    # the dual simplex kept every reduced cost nonnegative,
+                    # so the primal clean-up has nothing left to do
+                    assert kernel_warm == (1, 0)
+            state = warm.state
