@@ -75,16 +75,21 @@ class IterationTrace:
         return len(self.records) - 1
 
     def jsonl_records(self) -> list[dict]:
-        out = []
-        for k, r in enumerate(self.records):
-            status = r.subproblem_status
-            if k == len(self.records) - 1:
-                status = self.termination
-            out.append({"n": r.n, "x": [float(c) for c in r.x],
-                        "f0": r.f0, "infeas": r.infeas,
-                        "s_norm": None, "tau": None, "merit": None,
-                        "status": status})
-        return out
+        return jsonl_records(self)
+
+
+def jsonl_records(trace) -> list[dict]:
+    """One JSONL row per record of a CCP or penalty trace.
+
+    The last row's status is the termination reason.  CCP records carry no
+    slack, penalty or merit, so their rows hold null there.
+    """
+    last = len(trace.records) - 1
+    return [{"n": r.n, "x": [float(c) for c in r.x], "f0": r.f0,
+             "infeas": r.infeas, "s_norm": getattr(r, "s_norm", None),
+             "tau": getattr(r, "tau", None), "merit": getattr(r, "merit", None),
+             "status": trace.termination if k == last else r.subproblem_status}
+            for k, r in enumerate(trace.records)]
 
 
 def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:

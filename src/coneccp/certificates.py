@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner
-from .cones import ConeElement, dist_to_neg_cone, inner as cone_inner, project_pos
+from .cones import (ConeElement, dist_to_neg_cone, eigenpairs,
+                    inner as cone_inner, project_pos)
 from .errors import InfeasibleStart, SubproblemInfeasible
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
@@ -106,17 +107,12 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     lam_pos = lam + lam_neg_part
 
     d_pair = np.zeros(x.size)
-    for k, (leaf_val, leaf) in enumerate(zip(lam_pos.blocks,
-                                             cmap.cone.leaves())):
-        if leaf_val.ndim == 2:
-            w, vecs = np.linalg.eigh(leaf_val)
-            for idx in np.nonzero(w > 1e-14 * (1.0 + abs(w[-1])))[0]:
-                d_pair += w[idx] * cmap.G.quad_form_subgrad(x, k, vecs[:, idx])
-        else:
-            for idx in np.nonzero(leaf_val > 0.0)[0]:
-                u = np.zeros(leaf_val.size)
-                u[idx] = 1.0
-                d_pair += leaf_val[idx] * cmap.G.quad_form_subgrad(x, k, u)
+    for k, w, vecs in eigenpairs(lam_pos):
+        # a PSD spectrum carries eigh rounding; orthant components are exact
+        floor = (1e-14 * (1.0 + abs(w[-1])) if lam_pos.blocks[k].ndim == 2
+                 else 0.0)
+        for idx in np.nonzero(w > floor)[0]:
+            d_pair += w[idx] * cmap.G.quad_form_subgrad(x, k, vecs[:, idx])
     d_pair -= cmap.H.derivative(x).pair(lam_pos)
 
     r = v - g0_sub - d_pair
@@ -140,7 +136,7 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     return KktResiduals(stationarity, complementarity, dual_feas)
 
 
-def certify(problem, x, v=None, lam=None, tau=None, *, tol=1e-9,
+def certify(problem, x, v=None, lam=None, *, tol=1e-9,
             tol_feas=1e-8, probe_slater=True) -> CriticalityCertificate:
     """Assemble the certificate a solver run hands to a reviewer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

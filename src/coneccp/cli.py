@@ -57,7 +57,6 @@ def _add_common_solver_args(p):
     p.add_argument("--tol", type=float, default=1e-8,
                    help="stopping tolerance (objective/merit change)")
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="PATH",
                    help="write one JSON record per iteration (JSONL)")
     p.add_argument("--json", action="store_true",

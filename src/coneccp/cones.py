@@ -239,6 +239,19 @@ def slack_cost(t_scale: float, y: ConeElement) -> tuple[float, ConeElement]:
     return t_scale * base, s_star
 
 
+def eigenpairs(y: ConeElement):
+    """Yield (block, eigenvalues, unit eigenvectors as columns) per block of y.
+
+    PSD blocks give their spectrum in ascending order; orthant blocks give
+    their components, with the coordinate vectors as eigenvectors.
+    """
+    for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
+        if isinstance(leaf, PsdCone):
+            yield (k, *np.linalg.eigh(a))
+        else:
+            yield k, a, np.eye(a.size)
+
+
 @dataclass(frozen=True)
 class Scalarization:
     """Largest eigenvalue/component over blocks, with the attaining direction."""

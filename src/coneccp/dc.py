@@ -36,11 +36,6 @@ class ConvexOracle:
     subgrad: Callable[[np.ndarray], np.ndarray]
 
 
-def affine_oracle(a, b=0.0) -> ConvexOracle:
-    a = np.asarray(a, dtype=float)
-    return ConvexOracle(lambda x: float(a @ x + b), lambda x: a)
-
-
 def zero_oracle(dim: int) -> ConvexOracle:
     z = np.zeros(dim)
     return ConvexOracle(lambda x: 0.0, lambda x: z)

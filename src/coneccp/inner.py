@@ -1,11 +1,15 @@
 """Inner solver for the convex subproblems.
 
-Kelley cutting planes with an LP master over the box and affine rows: linear
-underestimators of the objective (and of the single scalarized convex
-constraint in constrained mode) accumulate until the certified gap between
-the incumbent and the master lower bound drops below tolerance.  Master LPs
-are solved by the dense simplex in :mod:`coneccp.lp`, each one warm started
-from the previous master of the same loop.
+One Kelley cutting-plane engine, :func:`_kelley_min`, minimizes a convex
+scalar function over the box and affine rows of a feasible set: linear
+underestimators accumulate in an LP master until the certified gap between
+the incumbent and the master lower bound drops below tolerance.  Given the
+scalarized convex constraint of constrained mode, it cuts that constraint too
+and takes only incumbents that satisfy it.  The same engine run on the
+constraint alone gives the Slater probe and, when a subproblem's master LP
+turns infeasible, the positive lower bound that certifies it.  Master LPs are
+solved by the dense simplex in :mod:`coneccp.lp`, each one warm started from
+the previous master of the same run.
 
 One-dimensional subproblems take a bisection shortcut on the subgradient
 sign change; it must agree with the general path within tolerance and is
@@ -18,6 +22,7 @@ run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,19 +84,18 @@ def slater_probe(constraint: LinearizedConstraint, fs: FeasibleSet,
         lo, hi, empty = _bounds_1d(fs)
         if empty:
             return SlaterProbe(False, None, np.inf, np.inf)
-        phi = lambda x: constraint.scalarized(np.array([x]))
-        dphi = lambda x: float(constraint.scalarized_subgrad(np.array([x]))[0])
-        xs, val, lbv = _bisect_min(phi, dphi, lo, hi)
+        xs, val, lbv = _bisect_min(
+            *_scalar(constraint.scalarized, constraint.scalarized_subgrad),
+            lo, hi)
         if val < -tol:
             return SlaterProbe(True, np.array([xs]), val, lbv)
         return SlaterProbe(False, None, val, lbv)
-    best_x, best_val, lbv, status, _ = _kelley_min(
-        lambda x: constraint.scalarized(x),
-        lambda x: constraint.scalarized_subgrad(x),
-        fs, tol, max_cuts, seeds=[fs.center()], stop_below=-2.0 * tol)
-    if best_val < -tol:
-        return SlaterProbe(True, best_x, best_val, lbv, status)
-    return SlaterProbe(False, None, best_val, lbv, status)
+    run = _kelley_min(constraint.scalarized, constraint.scalarized_subgrad,
+                      fs, tol, max_cuts, seeds=[fs.center()],
+                      stop_below=-2.0 * tol)
+    if run.value < -tol:
+        return SlaterProbe(True, run.x, run.value, run.lower_bound, run.status)
+    return SlaterProbe(False, None, run.value, run.lower_bound, run.status)
 
 
 # ---------------------------------------------------------------------------
@@ -132,123 +136,98 @@ class _Master:
         return res
 
 
-def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
-    fs = spec.feasible_set
-    d = fs.dim
-    obj = spec.objective
-    con = spec.constraint
-    master = _Master(fs)
-    con_points: list[np.ndarray] = []
+class _KelleyRun(NamedTuple):
+    """One cutting-plane run; the benchmark's tracer reads ``cuts`` as [4]."""
 
-    def add_point(x):
-        f = obj.value(x)
-        master.cut(f, obj.subgrad(x), x, epigraph=True)
-        cv = 0.0
-        if con is not None:
-            cv = con.scalarized(x)
-            master.cut(cv, con.scalarized_subgrad(x), x, epigraph=False)
-            con_points.append(x)
-        return f, cv
-
-    seeds = [np.asarray(feasible_hint, dtype=float)] if feasible_hint is not None \
-        else [fs.center()]
-    incumbent = None  # (value, x, violation)
-    for s in seeds:
-        f, cv = add_point(s)
-        if cv <= tol_feas:
-            incumbent = (f, s, max(cv, 0.0))
-
-    lb = -np.inf
-    status = ITER_LIMIT
-    while master.cuts < max_cuts:
-        res = master.solve()
-        if res.status == lp.INFEASIBLE:
-            # Only the constraint cuts can exclude every box point, and each
-            # underestimates the true constraint, so the problem is infeasible.
-            return _certify_infeasible(spec, tol, tol_feas, max_cuts,
-                                       con_points)
-        if res.status != lp.OPTIMAL:
-            break
-        x_k = res.x[:d]
-        r_k = res.value
-        if r_k < lb - _LB_SLACK * (1.0 + abs(lb)):
-            raise InvariantViolation(
-                f"master lower bound decreased from {lb!r} to {r_k!r} as "
-                f"cuts were added")
-        lb = max(lb, r_k)
-
-        f_k, cv_k = add_point(x_k)
-        if cv_k <= tol_feas and (incumbent is None or f_k < incumbent[0]):
-            incumbent = (f_k, x_k, max(cv_k, 0.0))
-        if incumbent is not None and incumbent[0] - lb <= tol:
-            status = OPTIMAL
-            break
-    else:
-        status = ITER_LIMIT
-
-    if incumbent is None:
-        if con is not None:
-            return _certify_infeasible(spec, tol, tol_feas, max_cuts,
-                                       con_points)
-        raise InvariantViolation(
-            "penalized subproblem ended without an incumbent")
-    value, x_best, viol = incumbent
-    gap = max(value - lb, 0.0)
-    if status != OPTIMAL and gap <= tol:
-        status = OPTIMAL
-    return SolveReport(x_best, value, viol, gap, status, cuts=master.cuts)
-
-
-def _certify_infeasible(spec, tol, tol_feas, max_cuts, con_points):
-    """Sharpen a positive lower bound on the constraint minimum over the set."""
-    con = spec.constraint
-    seeds = con_points[-4:] or [spec.feasible_set.center()]
-    best_x, best_val, lbv, status, cuts = _kelley_min(
-        lambda x: con.scalarized(x), lambda x: con.scalarized_subgrad(x),
-        spec.feasible_set, min(tol, 1e-8), max_cuts, seeds=seeds)
-    if best_val <= tol_feas:
-        # The constraint minimum is attainable after all; report the point
-        # as a feasible incumbent with unknown gap rather than mislabeling.
-        return SolveReport(best_x, spec.objective.value(best_x),
-                           max(best_val, 0.0), np.inf, ITER_LIMIT, cuts=cuts)
-    return SolveReport(None, np.nan, best_val, np.nan, INFEASIBLE,
-                       certificate=lbv, cuts=cuts)
+    x: np.ndarray | None  # incumbent, None when no point met the constraint
+    value: float
+    lower_bound: float
+    status: str
+    cuts: int
+    violation: float
+    points: list  # every point cut at, in order
 
 
 def _kelley_min(value, subgrad, fs: FeasibleSet, tol, max_cuts, seeds,
-                stop_below=None):
+                stop_below=None, constraint=None, tol_feas=0.0) -> _KelleyRun:
     """Cutting-plane minimization of one convex scalar function over fs.
 
-    Returns (best_x, best_value, lower_bound, status, cuts).
+    With a scalarized ``constraint`` every point also yields a constraint
+    cut, and only points where the constraint is at most ``tol_feas`` become
+    incumbents.  Ends OPTIMAL once the incumbent is within ``tol`` of the
+    master lower bound or below ``stop_below``, INFEASIBLE when the cuts
+    exclude every point of fs, ITER_LIMIT otherwise.
     """
-    d = fs.dim
     master = _Master(fs)
-    best = None
+    points: list[np.ndarray] = []
+    best = None  # (value, x, violation)
+
+    def visit(x):
+        nonlocal best
+        f = value(x)
+        master.cut(f, subgrad(x), x, epigraph=True)
+        cv = 0.0
+        if constraint is not None:
+            cv = constraint.scalarized(x)
+            master.cut(cv, constraint.scalarized_subgrad(x), x, epigraph=False)
+        points.append(x)
+        if cv <= tol_feas and (best is None or f < best[0]):
+            best = (f, x, max(cv, 0.0))
+
     for s in seeds:
-        s = np.asarray(s, dtype=float)
-        f = value(s)
-        master.cut(f, subgrad(s), s, epigraph=True)
-        if best is None or f < best[0]:
-            best = (f, s)
+        visit(np.asarray(s, dtype=float))
     lb = -np.inf
     status = ITER_LIMIT
     while master.cuts < max_cuts:
-        if stop_below is not None and best[0] < stop_below:
+        if stop_below is not None and best is not None and best[0] < stop_below:
             status = OPTIMAL
             break
         res = master.solve()
+        if res.status == lp.INFEASIBLE:
+            status = INFEASIBLE
+            break
         if res.status != lp.OPTIMAL:
             break
+        if res.value < lb - _LB_SLACK * (1.0 + abs(lb)):
+            raise InvariantViolation(
+                f"master lower bound decreased from {lb!r} to {res.value!r} "
+                f"as cuts were added")
         lb = max(lb, res.value)
-        x_k = res.x[:d]
-        f_k = value(x_k)
-        master.cut(f_k, subgrad(x_k), x_k, epigraph=True)
-        if f_k < best[0]:
-            best = (f_k, x_k)
-        if best[0] - lb <= tol:
+        visit(res.x[:fs.dim])
+        if best is not None and best[0] - lb <= tol:
             status = OPTIMAL
             break
-    return best[1], best[0], lb, status, master.cuts
+    f, x, viol = best if best is not None else (np.inf, None, np.inf)
+    return _KelleyRun(x, f, lb, status, master.cuts, viol, points)
+
+
+def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
+    fs = spec.feasible_set
+    con = spec.constraint
+    seed = fs.center() if feasible_hint is None else feasible_hint
+    run = _kelley_min(spec.objective.value, spec.objective.subgrad, fs, tol,
+                      max_cuts, [seed], constraint=con, tol_feas=tol_feas)
+    if run.status != INFEASIBLE and run.x is not None:
+        return SolveReport(run.x, run.value, run.violation,
+                           max(run.value - run.lower_bound, 0.0), run.status,
+                           cuts=run.cuts)
+    if con is None:
+        raise InvariantViolation(
+            "penalized subproblem: the master LP excludes every point of a "
+            "nonempty set")
+    # Each constraint cut underestimates the constraint, so the set holds no
+    # feasible point; sharpen a positive lower bound on the constraint
+    # minimum over the set, starting from the last constraint points.
+    cert = _kelley_min(con.scalarized, con.scalarized_subgrad, fs,
+                       min(tol, 1e-8), max_cuts, seeds=run.points[-4:])
+    cuts = run.cuts + cert.cuts
+    if cert.value <= tol_feas:
+        # The constraint minimum is attainable after all; report the point
+        # as a feasible incumbent with unknown gap rather than mislabeling.
+        return SolveReport(cert.x, spec.objective.value(cert.x),
+                           max(cert.value, 0.0), np.inf, ITER_LIMIT, cuts=cuts)
+    return SolveReport(None, np.nan, cert.value, np.nan, INFEASIBLE,
+                       certificate=cert.lower_bound, cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +286,22 @@ def _bisect_min(f, df, lo, hi, iters=200):
     return x, fx, lbv
 
 
+def _scalar(value, subgrad):
+    """A function on R^1 and its derivative, as functions of a float."""
+    return (lambda x: value(np.array([x])),
+            lambda x: float(subgrad(np.array([x]))[0]))
+
+
 def _solve_1d(spec: SubproblemSpec, tol, tol_feas) -> SolveReport:
     lo, hi, empty = _bounds_1d(spec.feasible_set)
-    obj_f = lambda x: spec.objective.value(np.array([x]))
-    obj_g = lambda x: float(spec.objective.subgrad(np.array([x]))[0])
+    obj = _scalar(spec.objective.value, spec.objective.subgrad)
     if empty:
         return SolveReport(None, np.nan, np.inf, np.nan, INFEASIBLE,
                            certificate=np.inf)
 
     if spec.mode == CONSTRAINED:
         con = spec.constraint
-        phi = lambda x: con.scalarized(np.array([x]))
-        dphi = lambda x: float(con.scalarized_subgrad(np.array([x]))[0])
+        phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
         x_min, phi_min, phi_lb = _bisect_min(phi, dphi, lo, hi)
         if phi_min > tol_feas:
             return SolveReport(None, np.nan, phi_min, np.nan, INFEASIBLE,
@@ -328,12 +311,12 @@ def _solve_1d(spec: SubproblemSpec, tol, tol_feas) -> SolveReport:
         else:
             a = lo if phi(lo) <= 0.0 else _bisect_root(phi, lo, x_min)
             b = hi if phi(hi) <= 0.0 else _bisect_root(phi, hi, x_min)
-        x, fx, lbv = _bisect_min(obj_f, obj_g, a, b)
+        x, fx, lbv = _bisect_min(*obj, a, b)
         viol = max(phi(x), 0.0)
         return SolveReport(np.array([x]), fx, viol, max(fx - lbv, 0.0),
                            OPTIMAL)
 
-    x, fx, lbv = _bisect_min(obj_f, obj_g, lo, hi)
+    x, fx, lbv = _bisect_min(*obj, lo, hi)
     return SolveReport(np.array([x]), fx, 0.0, max(fx - lbv, 0.0), OPTIMAL)
 
 

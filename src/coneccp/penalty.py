@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
+from .ccp import jsonl_records
 from .cones import ConeElement, dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InfeasibleStart
 from .subproblem import build_penalized, recover_slack
@@ -77,16 +78,7 @@ class PenaltyTrace:
         return len(self.records) - 1
 
     def jsonl_records(self) -> list[dict]:
-        out = []
-        for k, r in enumerate(self.records):
-            status = r.subproblem_status
-            if k == len(self.records) - 1:
-                status = self.termination
-            out.append({"n": r.n, "x": [float(c) for c in r.x],
-                        "f0": r.f0, "infeas": r.infeas,
-                        "s_norm": r.s_norm, "tau": r.tau, "merit": r.merit,
-                        "status": status})
-        return out
+        return jsonl_records(self)
 
 
 def _penalty_update(tau, s_norm, cfg: PenaltyConfig, e_norm: float) -> float:

@@ -90,14 +90,7 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
         return F, inst.feasible_set, inst.name
     if kind == "quadratic_sdp":
         inst = _load_quadratic(doc)
-        con = doc["constraint"]
-        d = inst.feasible_set.dim
-        order = int(doc["cone"]["psd"])
-        C = _symmetric(con["C"], "constraint.C", order)
-        B = np.array([_symmetric(Bi, "constraint.B", order)
-                      for Bi in con["B"]])
-        A = np.array([[_symmetric(con["A"][i][j], "constraint.A", order)
-                       for j in range(d)] for i in range(d)])
+        C, B, A = _quadratic_constraint(doc, inst.feasible_set.dim)
         return quadratic_componentwise(C, B, A), inst.feasible_set, inst.name
     raise SchemaError(
         "entrywise decomposition needs a scalar_dc_polynomial or "
@@ -157,9 +150,8 @@ def _psd_quadratic(spec, dim, where):
     return quadratic_oracle(P, p, float(spec.get("c", 0.0)))
 
 
-def _load_quadratic(doc) -> ProblemInstance:
-    fs = _load_box(doc)
-    d = fs.dim
+def _quadratic_constraint(doc, d):
+    """The validated (C, B, A) of a quadratic_sdp constraint in d variables."""
     con = _require(doc, "constraint", dict)
     cone_desc = _require(doc, "cone", dict)
     if "psd" not in cone_desc:
@@ -179,7 +171,13 @@ def _load_quadratic(doc) -> ProblemInstance:
                    for j in range(d)] for i in range(d)])
     if np.max(np.abs(A - np.transpose(A, (1, 0, 2, 3)))) > 1e-8:
         raise SchemaError("constraint.A must satisfy A[i][j] == A[j][i]")
+    return C, B, A
 
+
+def _load_quadratic(doc) -> ProblemInstance:
+    fs = _load_box(doc)
+    d = fs.dim
+    C, B, A = _quadratic_constraint(doc, d)
     obj = _require(doc, "objective", dict)
     objective = ScalarDcFunction(
         g0=_psd_quadratic(_require(obj, "g0", dict, "objective"), d,
@@ -188,7 +186,7 @@ def _load_quadratic(doc) -> ProblemInstance:
                           "objective.h0"),
         dim=d)
     inst = quadratic_sdp(C=C, B=B, A=A, objective=objective,
-                         mu=con.get("mu"), validate=False)
+                         mu=doc["constraint"].get("mu"), validate=False)
     inst = ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
                            objective=inst.objective,
                            constraint=inst.constraint,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (ConeElement, lambda_max_scalarize, project_pos, inner)
+from .cones import (ConeElement, eigenpairs, lambda_max_scalarize,
+                    project_pos, inner)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
 from .errors import InvalidPenalty
 from .feasible import FeasibleSet
@@ -148,20 +149,11 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
     def subgrad(x):
         x = np.asarray(x, dtype=float)
         out = shifted.subgrad(x)
-        for k, (leaf_val, leaf) in enumerate(
-                zip(lin.value(x).blocks, lin.cone.leaves())):
-            if leaf_val.ndim == 2:
-                w, vecs = np.linalg.eigh(leaf_val)
-                for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
-                    u = vecs[:, idx]
-                    out = out + tau * (lin.gmap.quad_form_subgrad(x, k, u)
-                                       - lin.dh_base.quad_form_grad(k, u))
-            else:
-                for idx in np.nonzero(leaf_val > EIG_ACTIVE_TOL)[0]:
-                    u = np.zeros(leaf_val.size)
-                    u[idx] = 1.0
-                    out = out + tau * (lin.gmap.quad_form_subgrad(x, k, u)
-                                       - lin.dh_base.quad_form_grad(k, u))
+        for k, w, vecs in eigenpairs(lin.value(x)):
+            for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
+                u = vecs[:, idx]
+                out = out + tau * (lin.gmap.quad_form_subgrad(x, k, u)
+                                   - lin.dh_base.quad_form_grad(k, u))
         return out
 
     return SubproblemSpec(

@@ -35,7 +35,7 @@ class TestSolveCommands:
     def test_trace_reruns_bitwise_identical(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ("solve", "penalty-ccp", "--builtin", "example29", "--x0=-1",
-                "--tau0", "1", "--mu", "2", "--seed", "7")
+                "--tau0", "1", "--mu", "2")
         assert run_cli(capsys, *args, "--trace", str(t1))[0] == 0
         assert run_cli(capsys, *args, "--trace", str(t2))[0] == 0
         assert t1.read_bytes() == t2.read_bytes()
@@ -55,9 +55,12 @@ class TestSolveCommands:
         assert code in (2, 4)
 
     def test_unknown_flag_exits_usage(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "ccp", "--no-such-flag"])
-        assert err.value.code == 64
+        for argv in (["solve", "ccp", "--no-such-flag"],
+                     ["solve", "ccp", "--builtin", "example29", "--x0", "2",
+                      "--seed", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 64
 
 
 class TestCheckCommands:

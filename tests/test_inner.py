@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -40,18 +42,26 @@ class TestAgainstProjectedGradient:
 class TestGeneralPath:
     def test_monotone_lower_bound_assertion_is_armed(self, monkeypatch):
         # a master whose lower bound drops as cuts are added must raise,
-        # also under python -O
-        bounds = iter([-10.0, -20.0])
+        # also under python -O, in the subproblem solve and in the Slater
+        # probe alike
+        bounds = None
 
         def decreasing(c, A, b, lo, hi, **kwargs):
             return lp.LpResult(lp.OPTIMAL, np.zeros(c.size), next(bounds))
 
         monkeypatch.setattr(inner.lp, "solve_lp", decreasing)
+        fs = box([-1, -1], [1, 1])
         Q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        spec = bare_spec(quadratic_oracle(Q, np.array([0.4, -1.0])),
-                         box([-1, -1], [1, 1]))
-        with pytest.raises(InvariantViolation, match="lower bound decreased"):
-            inner.solve_convex(spec)
+        spec = bare_spec(quadratic_oracle(Q, np.array([0.4, -1.0])), fs)
+        # positive on the whole box, so the probe never stops early
+        positive = SimpleNamespace(scalarized=lambda x: 1.0 + float(x @ x),
+                                   scalarized_subgrad=lambda x: 2.0 * x)
+        for run in (lambda: inner.solve_convex(spec),
+                    lambda: inner.slater_probe(positive, fs)):
+            bounds = iter([-10.0, -20.0])
+            with pytest.raises(InvariantViolation,
+                               match="lower bound decreased"):
+                run()
 
     def test_iter_limit_status(self):
         Q = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -104,17 +114,31 @@ class TestPathsAgree:
 
 
 class TestInfeasibility:
-    def test_certificate_matches_analytic_minimum(self):
+    def test_certificate_matches_analytic_minimum(self, monkeypatch):
+        # the general path's report counts the cuts of both of its Kelley
+        # runs: the subproblem's and the certificate's
+        added = 0
+        cut = inner._Master.cut
+
+        def counted(self, *args, **kwargs):
+            nonlocal added
+            added += 1
+            return cut(self, *args, **kwargs)
+
+        monkeypatch.setattr(inner._Master, "cut", counted)
         p = example29()
         for z in (0.3, 0.5, 0.7):
             v = p.objective.h0.subgrad(np.array([z]))
             spec = build_constrained(p, np.array([z]), v)
             analytic = z ** 4 * (3.0 - 4.0 * z * z)
             for force in (False, True):
+                added = 0
                 rep = inner.solve_convex(spec, force_general=force)
                 assert rep.status == inner.INFEASIBLE
                 assert rep.certificate > 0.0
                 assert rep.certificate == pytest.approx(analytic, abs=1e-6)
+                if force:
+                    assert rep.cuts == added > 0
 
 
 class TestSlaterProbe:
