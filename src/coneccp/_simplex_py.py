@@ -7,7 +7,7 @@ The tableau layout is
 
 ``ncols`` restricts the columns eligible to enter the basis (used to lock
 artificial columns out of phase two).  Dantzig pricing by default; after
-``bland_after`` consecutive degenerate pivots the kernel switches to Bland's
+``BLAND_AFTER`` consecutive degenerate pivots the kernel switches to Bland's
 rule, which cannot cycle.
 """
 
@@ -17,8 +17,10 @@ OPTIMAL = 0
 UNBOUNDED = 1
 ITER_LIMIT = 2
 
+BLAND_AFTER = 50
 
-def pivot_loop(T, basis, ncols, tol, max_pivots, bland_after=50):
+
+def pivot_loop(T, basis, ncols, tol, max_pivots):
     m = T.shape[0] - 1
     pivots = 0
     degenerate_run = 0
@@ -46,7 +48,7 @@ def pivot_loop(T, basis, ncols, tol, max_pivots, bland_after=50):
         row = int(ties[np.argmin(basis[ties])])
         if best <= tol:
             degenerate_run += 1
-            if degenerate_run >= bland_after:
+            if degenerate_run >= BLAND_AFTER:
                 bland = True
         else:
             degenerate_run = 0

@@ -37,18 +37,10 @@ class CcpConfig:
     eps_f: float = 1e-8
     eps_x: float = 1e-8
     max_iter: int = 500
-    check_invariants: bool = True
-    tol_feas: float = 1e-8
-    inner_tol: float | None = None  # defaults to eps_f / 10
-    inner_max_cuts: int = 5000
 
     def __post_init__(self):
         if not (self.eps_f > 0 and self.eps_x > 0):
             raise ConeCcpError("eps_f and eps_x must be positive")
-
-    @property
-    def subproblem_tol(self) -> float:
-        return self.inner_tol if self.inner_tol is not None else self.eps_f / 10.0
 
 
 @dataclass
@@ -105,7 +97,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
     if not problem.feasible_set.contains(x):
         raise InfeasibleStart("x0 is outside the feasible set")
     infeas0 = dist_to_neg_cone(problem.constraint.value(x))
-    if infeas0 > cfg.tol_feas:
+    if infeas0 > inner.TOL_FEAS:
         raise InfeasibleStart(
             f"x0 violates the cone constraint by {infeas0:.3e}")
 
@@ -116,10 +108,8 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
         v = problem.objective.h0.subgrad(x)
         trace.records[-1].v = v
         spec = build_constrained(problem, x, v)
-        rep = inner.solve_convex(spec, tol=cfg.subproblem_tol,
-                                 tol_feas=cfg.tol_feas,
-                                 max_cuts=cfg.inner_max_cuts,
-                                 feasible_hint=x)
+        # subproblems are solved ten times tighter than the stopping rule
+        rep = inner.solve_convex(spec, tol=cfg.eps_f / 10.0, feasible_hint=x)
         if rep.status == inner.INFEASIBLE:
             raise SubproblemInfeasible(
                 "subproblem infeasible despite a feasible base point")
@@ -129,13 +119,12 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
         trace.records.append(
             CcpRecord(n + 1, x_new, f_new, infeas_new,
                       subproblem_status=rep.status))
-        if cfg.check_invariants:
-            if infeas_new > 1e-7:
-                raise InvariantViolation(
-                    f"iterate infeasibility {infeas_new:.3e} exceeds 1e-7")
-            if f_new > f + DESCENT_SLACK * (1.0 + abs(f)):
-                raise InvariantViolation(
-                    f"objective increased from {f} to {f_new}")
+        if infeas_new > 1e-7:
+            raise InvariantViolation(
+                f"iterate infeasibility {infeas_new:.3e} exceeds 1e-7")
+        if f_new > f + DESCENT_SLACK * (1.0 + abs(f)):
+            raise InvariantViolation(
+                f"objective increased from {f} to {f_new}")
         step = float(np.linalg.norm(x_new - x))
         x, f_prev, f = x_new, f, f_new
         if step <= FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x_new))):
@@ -153,12 +142,11 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
     return trace
 
 
-def check_strong_descent(trace: IterationTrace, mu: float,
-                         slack: float = 1e-8) -> bool:
+def check_strong_descent(trace: IterationTrace, mu: float) -> bool:
     """Whether every step decreased f0 by at least (mu/2) step-size squared."""
     recs = trace.records
     for a, b in zip(recs, recs[1:]):
         drop = 0.5 * mu * float(np.sum((b.x - a.x) ** 2))
-        if b.f0 > a.f0 - drop + slack * (1.0 + abs(a.f0)):
+        if b.f0 > a.f0 - drop + DESCENT_SLACK * (1.0 + abs(a.f0)):
             return False
     return True

@@ -21,6 +21,8 @@ from .cones import (ConeElement, dist_to_neg_cone, eigenpairs,
 from .errors import InfeasibleStart, SubproblemInfeasible
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
+SUBPROBLEM_TOL = 1e-9  # optimality tolerance of the subproblem solves
+
 
 @dataclass
 class KktResiduals:
@@ -39,7 +41,7 @@ class CriticalityCertificate:
     v: np.ndarray
     subproblem_gap: float
     kkt: KktResiduals | None
-    slater: inner.SlaterProbe | None
+    slater: inner.SlaterProbe
 
 
 def infeasibility(problem, x) -> float:
@@ -48,29 +50,26 @@ def infeasibility(problem, x) -> float:
     return dist_to_neg_cone(problem.constraint.value(x))
 
 
-def criticality_residual(problem, x, v=None, *, tol=1e-9, tol_feas=1e-8,
-                         max_cuts=5000) -> float:
+def criticality_residual(problem, x, v=None) -> float:
     """Gap between x and the optimum of its own linearized subproblem.
 
     Nonnegative up to solver tolerance; at or below tolerance the point is
     critical for the supplied subgradient choice.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if infeasibility(problem, x) > 10.0 * tol_feas:
+    if infeasibility(problem, x) > 10.0 * inner.TOL_FEAS:
         raise InfeasibleStart("criticality residual needs a feasible point")
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_constrained(problem, x, v)
-    rep = inner.solve_convex(spec, tol=tol, tol_feas=tol_feas,
-                             max_cuts=max_cuts, feasible_hint=x)
+    rep = inner.solve_convex(spec, tol=SUBPROBLEM_TOL, feasible_hint=x)
     if rep.status == inner.INFEASIBLE:
         raise SubproblemInfeasible(
             "linearized subproblem infeasible at a feasible point")
     return float(problem.objective.g0.value(x) - rep.objective_value)
 
 
-def generalized_criticality_residual(problem, x, tau, v=None, *, tol=1e-9,
-                                     max_cuts=5000) -> float:
+def generalized_criticality_residual(problem, x, tau, v=None) -> float:
     """Gap between (x, minimal slack) and the penalized subproblem optimum.
 
     Defined at infeasible points as well; at or below tolerance the point is
@@ -80,8 +79,7 @@ def generalized_criticality_residual(problem, x, tau, v=None, *, tol=1e-9,
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_penalized(problem, x, v, tau)
-    rep = inner.solve_convex(spec, tol=tol, max_cuts=max_cuts,
-                             feasible_hint=x)
+    rep = inner.solve_convex(spec, tol=SUBPROBLEM_TOL, feasible_hint=x)
     value_at_x = spec.objective.value(x)
     return float(value_at_x - rep.objective_value)
 
@@ -136,16 +134,13 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     return KktResiduals(stationarity, complementarity, dual_feas)
 
 
-def certify(problem, x, v=None, lam=None, *, tol=1e-9,
-            tol_feas=1e-8, probe_slater=True) -> CriticalityCertificate:
+def certify(problem, x, v=None, lam=None) -> CriticalityCertificate:
     """Assemble the certificate a solver run hands to a reviewer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if v is None:
         v = problem.objective.h0.subgrad(x)
-    gap = criticality_residual(problem, x, v, tol=tol, tol_feas=tol_feas)
+    gap = criticality_residual(problem, x, v)
     kkt = kkt_residual(problem, x, v, lam) if lam is not None else None
-    probe = None
-    if probe_slater:
-        lin = linearize_constraint(problem, x)
-        probe = inner.slater_probe(lin, problem.feasible_set, tol=tol_feas)
+    probe = inner.slater_probe(linearize_constraint(problem, x),
+                               problem.feasible_set)
     return CriticalityCertificate(x, v, gap, kkt, probe)

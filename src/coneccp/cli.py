@@ -207,7 +207,7 @@ def _cmd_check(args) -> int:
             "verdict": "critical" if cert.subproblem_gap <= args.tol
                        else "not critical",
             "infeasibility": certificates.infeasibility(problem, x),
-            "slater": None if cert.slater is None else {
+            "slater": {
                 "holds": cert.slater.holds,
                 "min_value": cert.slater.min_value,
             },
@@ -293,29 +293,28 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _cmd_list(args) -> int:
+    for name in sorted(BUILTINS):
+        print(name)
+    return EXIT_OK
+
+
+_COMMANDS = {"solve": _cmd_solve, "check": _cmd_check,
+             "decompose": _cmd_decompose, "verify": _cmd_verify,
+             "list": _cmd_list}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "list":
-            for name in sorted(BUILTINS):
-                print(name)
-            return EXIT_OK
+        return _COMMANDS[args.command](args)
     except InfeasibleStart as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_START
     except (SchemaError, ConeCcpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,16 @@ from .errors import BoundTooSmall, OracleCheckError
 
 log = logging.getLogger(__name__)
 
+# Sampled checks: draws per check and the tolerances a violation must exceed.
+OBJECTIVE_CHECK_SAMPLES = 40
+OBJECTIVE_CHECK_RTOL = 1e-9
+DERIVATIVE_CHECK_SAMPLES = 10
+CONVEXITY_TOL = 1e-9
+# Hessian estimation: sample points, finite-difference step, inflation.
+HESSIAN_SAMPLES = 25
+HESSIAN_STEP = 1e-4
+HESSIAN_SAFETY = 1.5
+
 
 # ---------------------------------------------------------------------------
 # Scalar oracles
@@ -72,16 +82,16 @@ class ScalarDcFunction:
     def f0(self, x) -> float:
         return self.g0.value(x) - self.h0.value(x)
 
-    def self_check(self, box, seed=0, samples=40, tol_scale=1e-9):
+    def self_check(self, box, seed=0):
         rng = np.random.default_rng(seed)
         lo, hi = box
-        for _ in range(samples):
+        for _ in range(OBJECTIVE_CHECK_SAMPLES):
             x = rng.uniform(lo, hi)
             y = rng.uniform(lo, hi)
             for name, orc in (("g0", self.g0), ("h0", self.h0)):
                 fx, fy = orc.value(x), orc.value(y)
                 gap = fy - fx - orc.subgrad(x) @ (y - x)
-                if gap < -tol_scale * (1.0 + abs(fx)):
+                if gap < -OBJECTIVE_CHECK_RTOL * (1.0 + abs(fx)):
                     raise OracleCheckError(
                         f"{name} violates the subgradient inequality by {-gap:.3e}")
             mu = self.strong_convexity_of_h
@@ -89,7 +99,7 @@ class ScalarDcFunction:
                 hx, hy = self.h0.value(x), self.h0.value(y)
                 lower = hx + self.h0.subgrad(x) @ (y - x) \
                     + 0.5 * mu * float(np.sum((y - x) ** 2))
-                if hy < lower - tol_scale * (1.0 + abs(hx)):
+                if hy < lower - OBJECTIVE_CHECK_RTOL * (1.0 + abs(hx)):
                     raise OracleCheckError(
                         "h0 is not strongly convex with the declared constant")
 
@@ -180,8 +190,7 @@ class ConeDcMap:
         check_derivative_consistency(self.H, box, seed=seed + 2)
 
 
-def check_derivative_consistency(H: SmoothKConvexOracle, box, seed=0,
-                                 samples=10):
+def check_derivative_consistency(H: SmoothKConvexOracle, box, seed=0):
     """Finite-difference check that the declared derivative matches the map.
 
     The one-sided difference quotient must approach the derivative at a rate
@@ -191,7 +200,7 @@ def check_derivative_consistency(H: SmoothKConvexOracle, box, seed=0,
     rng = np.random.default_rng(seed)
     lo, hi = box
     d = np.asarray(lo).size
-    for _ in range(samples):
+    for _ in range(DERIVATIVE_CHECK_SAMPLES):
         x = rng.uniform(lo, hi)
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
@@ -362,8 +371,7 @@ class SmoothMatrixMap:
         return ConeDerivative(self.cone, (arr,))
 
 
-def estimate_hessian_bound(F: SmoothMatrixMap, box, samples=25, seed=0,
-                           safety=1.5, step=1e-4) -> float:
+def estimate_hessian_bound(F: SmoothMatrixMap, box, seed=0) -> float:
     """Sampled bound on max_ij ||hessian of F_ij||_F over the box.
 
     Finite differences at random points, inflated by a safety factor.  The
@@ -372,8 +380,9 @@ def estimate_hessian_bound(F: SmoothMatrixMap, box, samples=25, seed=0,
     rng = np.random.default_rng(seed)
     lo, hi = box
     d = F.dim
+    step = HESSIAN_STEP
     best = 0.0
-    for _ in range(samples):
+    for _ in range(HESSIAN_SAMPLES):
         x = rng.uniform(lo, hi)
         hess = np.zeros((d, d, F.order, F.order))
         for p in range(d):
@@ -387,7 +396,7 @@ def estimate_hessian_bound(F: SmoothMatrixMap, box, samples=25, seed=0,
                 hess[p, q] = hess[q, p] = second / (4.0 * step * step)
         norms = np.sqrt(np.einsum("pqij,pqij->ij", hess, hess))
         best = max(best, float(norms.max()))
-    return safety * best
+    return HESSIAN_SAFETY * best
 
 
 def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
@@ -473,15 +482,15 @@ def convexity_gap(map_oracle, x1, x2, alpha) -> ConeElement:
 
 
 def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
-                       seed=0, tol=1e-9) -> ConvexityVerdict:
+                       seed=0) -> ConvexityVerdict:
     """Randomized convexity check with respect to the cone order.
 
     When the oracle exposes a derivative the gradient inequality
     F(x1) - F(x2) >=_K DF(x2)(x1 - x2) is sampled; otherwise midpoint
     inequalities with alpha in {0.25, 0.5, 0.75} and one uniform draw per
     pair.  Violations are measured by the largest eigenvalue of the negated
-    gap; the first violation beyond ``tol`` is returned as a concrete
-    witness.  Passing is evidence, not proof: sampling is sound but
+    gap; the first violation beyond ``CONVEXITY_TOL`` is returned as a
+    concrete witness.  Passing is evidence, not proof: sampling is sound but
     incomplete.
     """
     rng = np.random.default_rng(seed)
@@ -497,14 +506,14 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
             gap = (map_oracle.value(x1) - map_oracle.value(x2)
                    - map_oracle.derivative(x2).apply(x1 - x2))
             sc = lambda_max_scalarize(-gap)
-            if sc.value > tol:
+            if sc.value > CONVEXITY_TOL:
                 return ConvexityVerdict(False, ConvexityWitness(
                     x1, x2, None, sc.block, sc.vector, sc.value), samples)
         else:
             for alpha in (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0))):
                 gap = convexity_gap(map_oracle, x1, x2, alpha)
                 sc = lambda_max_scalarize(-gap)
-                if sc.value > tol:
+                if sc.value > CONVEXITY_TOL:
                     return ConvexityVerdict(False, ConvexityWitness(
                         x1, x2, alpha, sc.block, sc.vector, sc.value), samples)
     return ConvexityVerdict(True, None, samples)

@@ -74,9 +74,6 @@ class FeasibleSet:
             return res.x
         return c
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-
 
 def box(lo, hi) -> FeasibleSet:
     """Convenience constructor for a pure box."""

@@ -35,7 +35,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITER_LIMIT = "iter_limit"
 
+TOL_FEAS = 1e-8  # feasibility tolerance on constraint values
+MAX_CUTS = 5000  # cuts one Kelley loop may make before ITER_LIMIT
 _LB_SLACK = 1e-7  # tolerance of the monotone-lower-bound check
+_BISECT_ITERS = 200  # halvings, unless the midpoint rounds to an end first
 
 
 @dataclass
@@ -58,8 +61,8 @@ class SlaterProbe:
     status: str = OPTIMAL
 
 
-def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=1e-8,
-                 max_cuts=5000, feasible_hint=None,
+def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=TOL_FEAS,
+                 max_cuts=MAX_CUTS, feasible_hint=None,
                  force_general=False) -> SolveReport:
     """Epsilon-optimal minimization of a subproblem spec.
 
@@ -73,12 +76,12 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=1e-8,
     return _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint)
 
 
-def slater_probe(constraint: LinearizedConstraint, fs: FeasibleSet,
-                 tol=1e-8, max_cuts=5000) -> SlaterProbe:
+def slater_probe(constraint: LinearizedConstraint,
+                 fs: FeasibleSet) -> SlaterProbe:
     """Minimize the scalarized linearized constraint over the set.
 
     Holds (with a strictly feasible witness) when the minimum is below
-    ``-tol``; otherwise Fails and carries the certified minimum.
+    ``-TOL_FEAS``; otherwise Fails and carries the certified minimum.
     """
     if fs.dim == 1:
         lo, hi, empty = _bounds_1d(fs)
@@ -87,13 +90,13 @@ def slater_probe(constraint: LinearizedConstraint, fs: FeasibleSet,
         xs, val, lbv = _bisect_min(
             *_scalar(constraint.scalarized, constraint.scalarized_subgrad),
             lo, hi)
-        if val < -tol:
+        if val < -TOL_FEAS:
             return SlaterProbe(True, np.array([xs]), val, lbv)
         return SlaterProbe(False, None, val, lbv)
     run = _kelley_min(constraint.scalarized, constraint.scalarized_subgrad,
-                      fs, tol, max_cuts, seeds=[fs.center()],
-                      stop_below=-2.0 * tol)
-    if run.value < -tol:
+                      fs, TOL_FEAS, MAX_CUTS, seeds=[fs.center()],
+                      stop_below=-2.0 * TOL_FEAS)
+    if run.value < -TOL_FEAS:
         return SlaterProbe(True, run.x, run.value, run.lower_bound, run.status)
     return SlaterProbe(False, None, run.value, run.lower_bound, run.status)
 
@@ -247,7 +250,7 @@ def _bounds_1d(fs: FeasibleSet):
     return lo, hi, lo > hi
 
 
-def _bisect_min(f, df, lo, hi, iters=200):
+def _bisect_min(f, df, lo, hi):
     """Minimize a convex scalar function on [lo, hi] by subgradient bisection.
 
     Returns (x, f(x), certified lower bound).
@@ -259,7 +262,7 @@ def _bisect_min(f, df, lo, hi, iters=200):
     if ghi <= 0.0:
         return hi, f(hi), f(hi)
     a, b, ga, gb = lo, hi, glo, ghi
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
@@ -320,9 +323,9 @@ def _solve_1d(spec: SubproblemSpec, tol, tol_feas) -> SolveReport:
     return SolveReport(np.array([x]), fx, 0.0, max(fx - lbv, 0.0), OPTIMAL)
 
 
-def _bisect_root(phi, outside, inside, iters=200):
+def _bisect_root(phi, outside, inside):
     """Boundary point of {phi <= 0} between an outside and an inside point."""
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         m = 0.5 * (outside + inside)
         if m == outside or m == inside:
             break

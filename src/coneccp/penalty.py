@@ -17,7 +17,7 @@ import numpy as np
 from . import inner
 from .ccp import jsonl_records
 from .cones import ConeElement, dist_to_neg_cone, inner as cone_inner, project_pos
-from .errors import ConeCcpError, InfeasibleStart
+from .errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from .subproblem import build_penalized, recover_slack
 
 FIXED_POINT = "fixed_point"
@@ -26,6 +26,7 @@ MAX_ITER = "max_iter"
 
 FIXED_POINT_RTOL = 1e-9
 MERIT_SLACK = 1e-8
+INNER_TOL = 1e-9  # optimality tolerance of each penalized subproblem
 
 
 @dataclass
@@ -36,10 +37,6 @@ class PenaltyConfig:
     tau_max: float = float("inf")
     eps_merit: float = 1e-9
     max_iter: int = 1000
-    check_invariants: bool = True
-    tol_feas: float = 1e-8
-    inner_tol: float = 1e-9
-    inner_max_cuts: int = 5000
 
     def __post_init__(self):
         if not self.tau0 > 0:
@@ -113,10 +110,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
     for n in range(cfg.max_iter):
         v = problem.objective.h0.subgrad(x)
         spec = build_penalized(problem, x, v, tau)
-        rep = inner.solve_convex(spec, tol=cfg.inner_tol,
-                                 tol_feas=cfg.tol_feas,
-                                 max_cuts=cfg.inner_max_cuts,
-                                 feasible_hint=x)
+        rep = inner.solve_convex(spec, tol=INNER_TOL, feasible_hint=x)
         x_new = rep.x_hat
         s_new = recover_slack(spec, x_new)
         f_new = problem.objective.f0(x_new)
@@ -124,9 +118,8 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
 
         merit_old = f + tau * cone_inner(identity, s)
         merit_new_held = f_new + tau * cone_inner(identity, s_new)
-        if cfg.check_invariants and merit_new_held > merit_old \
-                + MERIT_SLACK * (1.0 + abs(merit_old)):
-            raise ConeCcpError(
+        if merit_new_held > merit_old + MERIT_SLACK * (1.0 + abs(merit_old)):
+            raise InvariantViolation(
                 f"merit increased at fixed penalty: {merit_old} -> "
                 f"{merit_new_held}")
 
@@ -154,7 +147,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
     return trace
 
 
-def check_merit_decrease(trace: PenaltyTrace, slack: float = MERIT_SLACK) -> bool:
+def check_merit_decrease(trace: PenaltyTrace) -> bool:
     """Whether f0 + <t_n, s> did not increase across any step.
 
     Both sides of each comparison use the penalty in force at step n (not the
@@ -167,7 +160,7 @@ def check_merit_decrease(trace: PenaltyTrace, slack: float = MERIT_SLACK) -> boo
         e = a.s.cone.identity()
         lhs = b.f0 + a.tau * cone_inner(e, b.s)
         rhs = a.f0 + a.tau * cone_inner(e, a.s)
-        if lhs > rhs + slack * (1.0 + abs(rhs)):
+        if lhs > rhs + MERIT_SLACK * (1.0 + abs(rhs)):
             return False
     return True
 

@@ -60,7 +60,9 @@ def load_problem(source) -> ProblemInstance:
         if kind == "builtin":
             return _load_builtin(doc)
         if kind == "quadratic_sdp":
-            return _load_quadratic(doc)
+            inst, _ = _load_quadratic(doc)
+            inst.self_check(samples=60)
+            return inst
         return _load_polynomial(doc)
     except (OracleCheckError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
@@ -70,8 +72,9 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
     """Entrywise-DC matrix view of a problem file, for the eigenvalue split.
 
     Univariate polynomial problems (and the example29 builtin) become
-    diagonal matrices of their constraint rows; quadratic instances are
-    split entrywise by curvature sign.
+    diagonal matrices of their constraint rows, whose convexity is sampled
+    as in :func:`load_problem`; quadratic instances are validated, not
+    sampled, and split entrywise by curvature sign.
     """
     doc = _read_source(source)
     kind = doc.get("kind")
@@ -89,8 +92,7 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
                                    [r["H"] for r in rows])
         return F, inst.feasible_set, inst.name
     if kind == "quadratic_sdp":
-        inst = _load_quadratic(doc)
-        C, B, A = _quadratic_constraint(doc, inst.feasible_set.dim)
+        inst, (C, B, A) = _load_quadratic(doc)
         return quadratic_componentwise(C, B, A), inst.feasible_set, inst.name
     raise SchemaError(
         "entrywise decomposition needs a scalar_dc_polynomial or "
@@ -174,7 +176,8 @@ def _quadratic_constraint(doc, d):
     return C, B, A
 
 
-def _load_quadratic(doc) -> ProblemInstance:
+def _load_quadratic(doc):
+    """The validated instance, not yet sampled, and its (C, B, A)."""
     fs = _load_box(doc)
     d = fs.dim
     C, B, A = _quadratic_constraint(doc, d)
@@ -192,8 +195,7 @@ def _load_quadratic(doc) -> ProblemInstance:
                            constraint=inst.constraint,
                            feasible_set=fs,
                            known_facts=doc.get("known_facts", {}))
-    inst.self_check(samples=60)
-    return inst
+    return inst, (C, B, A)
 
 
 def _coeffs(raw, where):

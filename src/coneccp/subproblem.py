@@ -16,7 +16,7 @@ import numpy as np
 from .cones import (ConeElement, eigenpairs, lambda_max_scalarize,
                     project_pos, inner)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
-from .errors import InvalidPenalty
+from .errors import InvalidPenalty, OracleCheckError
 from .feasible import FeasibleSet
 
 CONSTRAINED = "constrained"
@@ -29,6 +29,9 @@ EIG_ACTIVE_TOL = 1e-12
 # zero when recovering slacks, so exact penalty phases report slack zero
 # despite inner-solver roundoff.
 SLACK_ZERO_TOL = 1e-11
+# SubproblemSpec.self_check: midpoints drawn, relative tolerance of each gap
+SELF_CHECK_SAMPLES = 60
+SELF_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,21 +74,21 @@ class SubproblemSpec:
     mode: str
     constraint: LinearizedConstraint | None = None
     lin: LinearizedConstraint | None = None
-    base_point: np.ndarray | None = None
-    tau: float | None = None
 
-    def self_check(self, seed=0, samples=60, tol=1e-9):
-        """Midpoint convexity sampling of the assembled objective."""
+    def self_check(self, seed=0):
+        """Midpoint convexity sampling of the assembled objective; raises
+        :class:`OracleCheckError` on a midpoint above the chord."""
         rng = np.random.default_rng(seed)
         fs = self.feasible_set
-        for _ in range(samples):
+        for _ in range(SELF_CHECK_SAMPLES):
             x = rng.uniform(fs.lo, fs.hi)
             y = rng.uniform(fs.lo, fs.hi)
             mid = 0.5 * (x + y)
             gap = (0.5 * self.objective.value(x) + 0.5 * self.objective.value(y)
                    - self.objective.value(mid))
-            if gap < -tol * (1.0 + abs(self.objective.value(mid))):
-                raise AssertionError(f"subproblem objective not convex: {gap}")
+            if gap < -SELF_CHECK_TOL * (1.0 + abs(self.objective.value(mid))):
+                raise OracleCheckError(
+                    f"subproblem objective not convex: {gap}")
 
 
 def linearize_constraint(problem, x_n) -> LinearizedConstraint:
@@ -124,7 +127,6 @@ def build_constrained(problem, x_n, v_n) -> SubproblemSpec:
         feasible_set=problem.feasible_set,
         mode=CONSTRAINED,
         lin=lin,
-        base_point=np.asarray(x_n, dtype=float),
     )
 
 
@@ -162,8 +164,6 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
         feasible_set=problem.feasible_set,
         mode=PENALIZED,
         lin=lin,
-        base_point=np.asarray(x_n, dtype=float),
-        tau=float(tau),
     )
 
 

@@ -1,12 +1,13 @@
 import copy
 
+import numpy as np
 import pytest
 
-from coneccp import ccp
+from coneccp import ccp, inner
 from coneccp.ccp import (CcpConfig, IterationTrace, check_strong_descent,
                          run_ccp)
 from coneccp.certificates import criticality_residual
-from coneccp.errors import ConeCcpError, InfeasibleStart
+from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.library import example29, quadratic_sdp, with_strong_convexity
 
 
@@ -46,6 +47,15 @@ class TestGoldenRuns:
 
 
 class TestInvariants:
+    def test_objective_increase_raises(self, monkeypatch):
+        # a subproblem "solution" at x = 3, feasible but with f0 above f0(2)
+        worse = inner.SolveReport(np.array([3.0]), 0.0, 0.0, 0.0,
+                                  inner.OPTIMAL)
+        monkeypatch.setattr(inner, "solve_convex",
+                            lambda spec, **kwargs: worse)
+        with pytest.raises(InvariantViolation, match="objective increased"):
+            run_ccp(example29(), [2.0])
+
     def test_iterates_feasible_and_descending(self):
         p = quadratic_sdp(2)
         tr = run_ccp(p, p.known_facts["strictly_feasible_point"],

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from coneccp.cli import main
-from coneccp.errors import SchemaError
+from coneccp.errors import OracleCheckError, SchemaError
+from coneccp.library import ProblemInstance
 from coneccp.problem_io import load_componentwise, load_problem
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -191,6 +192,40 @@ class TestProblemFiles:
                                "--x0", "0,0")
         assert code == 3
         assert "cannot read problem file" in err
+
+    def test_decompose_validates_without_sampling_quadratic_files(
+            self, capsys, monkeypatch):
+        # the entrywise split of a quadratic_sdp file uses only C, B and A,
+        # so its load must not sample the instance's convexity
+        def refuse(self, *args, **kwargs):
+            raise OracleCheckError("convexity sampled")
+
+        small = json.loads((DOCS / "quadratic_sdp_small.json").read_text())
+        monkeypatch.setattr(ProblemInstance, "self_check", refuse)
+        code, out, _ = run_cli(capsys, "decompose", "lambda-max", "--problem",
+                               str(DOCS / "quadratic_sdp_small.json"),
+                               "--samples", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["problem"] == small["name"]
+        # every rejection of the document still holds
+        asymmetric = json.loads(json.dumps(small))
+        asymmetric["constraint"]["C"] = [[-1.0, 0.5], [0.0, -1.0]]
+        weak_mu = json.loads(json.dumps(small))
+        weak_mu["constraint"]["mu"] = 1e-6
+        no_h0 = json.loads(json.dumps(small))
+        del no_h0["objective"]["h0"]
+        for doc, fragment in ((asymmetric, "not symmetric"),
+                              (weak_mu, "below the certified threshold"),
+                              (no_h0, "h0")):
+            code, _, err = run_cli(capsys, "decompose", "lambda-max",
+                                   "--problem", json.dumps(doc))
+            assert code == 3
+            assert fragment in err
+        # polynomial files are still sampled: the split uses their rows
+        code, _, err = run_cli(capsys, "decompose", "lambda-max", "--problem",
+                               str(DOCS / "polynomial_quartic.json"))
+        assert code == 3
+        assert "convexity sampled" in err
 
     def test_componentwise_views(self):
         F, fs, _ = load_componentwise({"kind": "builtin", "name": "example29"})

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coneccp.cones import (Orthant, ProductCone, PsdCone,
                            cone_from_descriptor, dist_to_neg_cone, inner,
@@ -87,6 +90,54 @@ class TestMoreau:
             # both parts in the cone
             assert lambda_max_scalarize(-pos).value <= 1e-12 * (1.0 + ny)
             assert lambda_max_scalarize(-neg).value <= 1e-12 * (1.0 + ny)
+
+
+ENTRIES = st.floats(-10.0, 10.0, allow_subnormal=False)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def psd_orthant_elements(draw):
+    """An element of PSD(k) x Orthant(m), with k and m from 1 to 4."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    M = draw(arrays(float, (k, k), elements=ENTRIES))
+    v = draw(arrays(float, m, elements=ENTRIES))
+    return ProductCone((PsdCone(k), Orthant(m))).element((0.5 * (M + M.T), v))
+
+
+def _cost(t, s_psd, s_orth):
+    """<t e, s> for the cone identity e: t times trace plus sum."""
+    return t * (float(np.trace(s_psd)) + float(np.sum(s_orth)))
+
+
+@PROPERTY
+@given(psd_orthant_elements())
+def test_moreau_identity_on_psd_orthant_products(y):
+    pos, neg = project_pos(y), project_pos(-y)
+    ny = y.norm()
+    assert (y - (pos - neg)).norm() <= 1e-9 * (1.0 + ny)
+    assert abs(inner(pos, neg)) <= 1e-9 * (1.0 + ny * ny)
+
+
+@PROPERTY
+@given(psd_orthant_elements(), st.floats(0.01, 100.0), st.data())
+def test_slack_cost_is_the_cheapest_feasible_slack(y, t, data):
+    cost, _ = slack_cost(t, y)
+    assert cost == pytest.approx(_cost(t, *project_pos(y).blocks),
+                                 rel=1e-12, abs=1e-12)
+    # a feasible slack s >= 0, s >= y in each block: y plus a PSD matrix,
+    # shifted by a multiple of I until it is PSD; max(y + p, q), p, q >= 0
+    y_psd, y_orth = y.blocks
+    k, m = y_psd.shape[0], y_orth.size
+    R = data.draw(arrays(float, (k, k), elements=ENTRIES))
+    S = y_psd + R @ R.T
+    S = S + max(0.0, -float(np.linalg.eigvalsh(S)[0])) * np.eye(k)
+    nonneg = st.floats(0.0, 10.0, allow_subnormal=False)
+    p = data.draw(arrays(float, m, elements=nonneg))
+    q = data.draw(arrays(float, m, elements=nonneg))
+    s_orth = np.maximum(y_orth + p, q)
+    assert _cost(t, S, s_orth) >= cost - 1e-9 * (1.0 + abs(cost))
 
 
 class TestSlackCost:

@@ -2,6 +2,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coneccp import inner, lp
 from coneccp.dc import ConvexOracle, quadratic_oracle
@@ -99,6 +102,29 @@ class TestGeneralPath:
             FeasibleSet(np.zeros(1), np.ones(1),
                         affine_A=np.array([[1.0], [-1.0]]),
                         affine_b=np.array([-2.0, 1.0]))
+
+
+@st.composite
+def boxes_with_rows(draw):
+    """A box in up to 4 dimensions and 1 to 3 affine rows that keep a drawn
+    point of the box, so the set is nonempty."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    lo = draw(arrays(float, d, elements=coord))
+    hi = lo + draw(arrays(float, d, elements=st.floats(0.0, 10.0,
+                                                       allow_subnormal=False)))
+    x = lo + draw(arrays(float, d, elements=st.floats(0.0, 1.0))) * (hi - lo)
+    A = draw(arrays(float, (k, d), elements=st.floats(
+        -5.0, 5.0, allow_subnormal=False)))
+    b = A @ x + draw(arrays(float, k, elements=st.floats(
+        0.0, 5.0, allow_subnormal=False)))
+    return FeasibleSet(lo, hi, affine_A=A, affine_b=b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(boxes_with_rows())
+def test_center_lies_in_the_set(fs):
+    assert fs.contains(fs.center())
 
 
 class TestPathsAgree:

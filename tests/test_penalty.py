@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneccp import inner, penalty
-from coneccp.errors import ConeCcpError, InfeasibleStart
+from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.library import example29, quadratic_sdp
 from coneccp.penalty import (PenaltyConfig, PenaltyTrace, _penalty_update,
                              check_merit_decrease, detect_feasible_handoff,
@@ -189,6 +189,19 @@ class TestOnSemidefiniteInstance:
         assert tr.records[-1].infeas <= 1e-6
         for r in tr.records[1:]:
             assert r.infeas <= r.s_norm + 1e-8
+
+
+class TestInvariants:
+    def test_merit_increase_raises(self, monkeypatch):
+        # from the feasible x = -1 (merit 2.25) a step to x = 5 raises f0
+        # alone to 20.25, whatever the slack
+        worse = inner.SolveReport(np.array([5.0]), 0.0, 0.0, 0.0,
+                                  inner.OPTIMAL)
+        monkeypatch.setattr(inner, "solve_convex",
+                            lambda spec, **kwargs: worse)
+        with pytest.raises(InvariantViolation, match="merit increased"):
+            run_penalty_ccp(example29(), [-1.0],
+                            PenaltyConfig(**REFERENCE_CFG))
 
 
 class TestConfigValidation:

@@ -3,10 +3,13 @@ import pytest
 
 from coneccp import inner
 from coneccp.cones import lambda_max_scalarize
-from coneccp.errors import InvalidPenalty
+from coneccp.dc import ConvexOracle
+from coneccp.errors import InvalidPenalty, OracleCheckError
+from coneccp.feasible import box
 from coneccp.library import example29, quadratic_sdp, stiefel
-from coneccp.subproblem import (build_constrained, build_penalized,
-                                linearize_constraint, recover_slack)
+from coneccp.subproblem import (PENALIZED, SubproblemSpec, build_constrained,
+                                build_penalized, linearize_constraint,
+                                recover_slack)
 
 
 def interval_oracle(z):
@@ -163,3 +166,11 @@ class TestOuterApproximation:
         v = p.objective.h0.subgrad(base)
         build_penalized(p, base, v, 2.0).self_check(seed=0)
         build_constrained(p, base, v).self_check(seed=1)
+
+    def test_concave_objective_fails_the_self_check(self):
+        concave = ConvexOracle(lambda x: -float(x @ x), lambda x: -2.0 * x)
+        spec = SubproblemSpec(objective=concave,
+                              feasible_set=box([-1.0, -1.0], [1.0, 1.0]),
+                              mode=PENALIZED)
+        with pytest.raises(OracleCheckError, match="not convex"):
+            spec.self_check()
