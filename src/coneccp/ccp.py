@@ -27,6 +27,9 @@ CRITICAL_FIXED_POINT = "critical_fixed_point"
 SMALL_OBJECTIVE_CHANGE = "small_objective_change"
 SMALL_STEP = "small_step"
 MAX_ITER = "max_iter"
+# the inner solver stopped at its cut limit before certifying a subproblem
+# optimum; its point is not taken as a step
+INNER_ITER_LIMIT = "inner_iter_limit"
 
 FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
 DESCENT_SLACK = 1e-8
@@ -90,7 +93,9 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
     Raises :class:`InfeasibleStart` when x0 is outside the set or violates
     the cone constraint beyond tolerance, and :class:`SubproblemInfeasible`
     if a subproblem turns out infeasible (impossible from a feasible start;
-    it would indicate an oracle or solver defect).
+    it would indicate an oracle or solver defect).  A subproblem the inner
+    solver leaves at its iteration limit ends the run with termination
+    ``INNER_ITER_LIMIT`` at the last accepted iterate.
     """
     cfg = config or CcpConfig()
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -113,6 +118,9 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
         if rep.status == inner.INFEASIBLE:
             raise SubproblemInfeasible(
                 "subproblem infeasible despite a feasible base point")
+        if rep.status == inner.ITER_LIMIT:
+            trace.termination = INNER_ITER_LIMIT
+            break
         x_new = rep.x_hat
         f_new = problem.objective.f0(x_new)
         infeas_new = dist_to_neg_cone(problem.constraint.value(x_new))

@@ -29,7 +29,15 @@ class Cone:
         raise NotImplementedError
 
     def element(self, blocks) -> "ConeElement":
-        """Validate raw block data and wrap it as an immutable element."""
+        """Validate raw block data and wrap it as an immutable element.
+
+        Every block is checked (finite, right shape, PSD blocks symmetric to
+        ``SYM_RTOL``) and stored as a frozen copy, so the element never
+        aliases the caller's arrays.  A PSD block that is already exactly
+        symmetric skips the asymmetry norms and the symmetrization, which
+        would return it unchanged; the checks themselves always run, since
+        oracle outputs come from callers' code and problem files.
+        """
         blocks = _as_blocks(self, blocks)
         return ConeElement(self, blocks)
 
@@ -148,17 +156,18 @@ def _as_blocks(cone: Cone, blocks) -> tuple[np.ndarray, ...]:
     out = []
     for leaf, raw in zip(leaves, blocks):
         a = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidElement("non-finite entries in cone element")
         if isinstance(leaf, PsdCone):
             if a.shape != (leaf.order, leaf.order):
                 raise InvalidElement(
                     f"psd block must be {leaf.order}x{leaf.order}, got {a.shape}")
-            asym = np.linalg.norm(a - a.T)
-            if asym > SYM_RTOL * max(1.0, np.linalg.norm(a)):
-                raise InvalidElement(
-                    f"psd block asymmetry {asym:.3e} exceeds tolerance")
-            a = 0.5 * (a + a.T)
+            if not (a == a.T).all():
+                asym = np.linalg.norm(a - a.T)
+                if asym > SYM_RTOL * max(1.0, np.linalg.norm(a)):
+                    raise InvalidElement(
+                        f"psd block asymmetry {asym:.3e} exceeds tolerance")
+                a = 0.5 * (a + a.T)
         else:
             a = a.reshape(-1)
             if a.shape != (leaf.dim,):
@@ -206,18 +215,16 @@ def project_pos(y: ConeElement) -> ConeElement:
     y = y+ - y- with <y+, y-> = 0: PSD blocks keep the nonnegative part of the
     spectrum, orthant blocks the nonnegative components.
     """
-    out = []
-    for leaf, a in zip(y.cone.leaves(), y.blocks):
-        if isinstance(leaf, PsdCone):
-            try:
-                w, v = np.linalg.eigh(a)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidElement(f"eigendecomposition failed: {exc}") from exc
-            wp = np.maximum(w, 0.0)
-            out.append((v * wp) @ v.T)
-        else:
-            out.append(np.maximum(a, 0.0))
-    return y._like(out)
+    return positive_part(y, eigenpairs(y))
+
+
+def positive_part(y: ConeElement, pairs) -> ConeElement:
+    """:func:`project_pos` of y from its :func:`eigenpairs`: PSD blocks keep
+    the nonnegative part of the spectrum, orthant blocks their nonnegative
+    components."""
+    return y._like((v * np.maximum(w, 0.0)) @ v.T if a.ndim == 2
+                   else np.maximum(w, 0.0)
+                   for a, (_, w, v) in zip(y.blocks, pairs))
 
 
 def dist_to_neg_cone(y: ConeElement) -> float:
@@ -243,13 +250,18 @@ def eigenpairs(y: ConeElement):
     """Yield (block, eigenvalues, unit eigenvectors as columns) per block of y.
 
     PSD blocks give their spectrum in ascending order; orthant blocks give
-    their components, with the coordinate vectors as eigenvectors.
+    their components, with the coordinate vectors as eigenvectors.  The
+    arrays are read-only.
     """
     for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
         if isinstance(leaf, PsdCone):
-            yield (k, *np.linalg.eigh(a))
+            try:
+                w, v = np.linalg.eigh(a)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidElement(f"eigendecomposition failed: {exc}") from exc
+            yield k, _freeze(w), _freeze(v)
         else:
-            yield k, a, np.eye(a.size)
+            yield k, a, _freeze(np.eye(a.size))
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,11 @@ class ConeDerivative:
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def apply(self, u: np.ndarray) -> ConeElement:
+        # the one product np.tensordot(u, arr, axes=(0, 0)) computes, without
+        # its axis bookkeeping
         return ConeElement(self.cone, tuple(
-            np.tensordot(u, arr, axes=(0, 0)) for arr in self.blocks))
+            np.dot(u.reshape(1, len(arr)), arr.reshape(len(arr), -1))
+            .reshape(arr.shape[1:]) for arr in self.blocks))
 
     def quad_form_grad(self, block: int, v: np.ndarray) -> np.ndarray:
         """Gradient of x -> <v, (D map)(x) v> for the given block direction."""
@@ -400,7 +403,7 @@ def estimate_hessian_bound(F: SmoothMatrixMap, box, seed=0) -> float:
 
 
 def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
-                                 mu=None, box=None, seed=0) -> ConeDcMap:
+                                 mu=None, box=None) -> ConeDcMap:
     """DC split of a smooth matrix map by quadratic regularization.
 
     With M bounding the Frobenius norm of every componentwise Hessian of F,
@@ -413,7 +416,7 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     if hessian_bound is None:
         if box is None:
             raise ValueError("either hessian_bound or box must be given")
-        hessian_bound = estimate_hessian_bound(F, box, seed=seed)
+        hessian_bound = estimate_hessian_bound(F, box)
         notes = ("hessian-bound-estimated-uncertified",)
         log.warning("hessian bound estimated by sampling (%.6g); "
                     "decomposition is not certified", hessian_bound)

@@ -9,6 +9,8 @@ import numpy as np
 from . import lp
 from .errors import ConeCcpError
 
+CONTAINS_TOL = 1e-9  # relative slack of membership tests
+
 
 @dataclass(frozen=True)
 class FeasibleSet:
@@ -56,13 +58,13 @@ class FeasibleSet:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, tol=1e-9) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        scale = 1.0 + float(np.abs(x).max(initial=0.0))
-        if np.any(x < self.lo - tol * scale) or np.any(x > self.hi + tol * scale):
+        slack = CONTAINS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))
+        if np.any(x < self.lo - slack) or np.any(x > self.hi + slack):
             return False
         if self.affine_A.shape[0]:
-            if np.any(self.affine_A @ x > self.affine_b + tol * scale):
+            if np.any(self.affine_A @ x > self.affine_b + slack):
                 return False
         return True
 

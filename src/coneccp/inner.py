@@ -69,10 +69,12 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=TOL_FEAS,
     Returns a point whose objective is within ``tol`` of the optimum and
     whose scalarized constraint is below ``tol_feas``; in constrained mode an
     empty feasible region is certified by a positive lower bound on the
-    constraint minimum over the set.
+    constraint minimum over the set.  One-dimensional subproblems (unless
+    ``force_general``) bisect to the last bit of the float whatever ``tol``
+    is, and never end at ``ITER_LIMIT``.
     """
     if spec.feasible_set.dim == 1 and not force_general:
-        return _solve_1d(spec, tol, tol_feas)
+        return _solve_1d(spec, tol_feas)
     return _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint)
 
 
@@ -295,7 +297,7 @@ def _scalar(value, subgrad):
             lambda x: float(subgrad(np.array([x]))[0]))
 
 
-def _solve_1d(spec: SubproblemSpec, tol, tol_feas) -> SolveReport:
+def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     obj = _scalar(spec.objective.value, spec.objective.subgrad)
     if empty:

@@ -141,10 +141,13 @@ def quadratic_matrix_map(C, B, A) -> SmoothMatrixMap:
     B = np.asarray(B, dtype=float)
     A = np.asarray(A, dtype=float)
     d, order = B.shape[0], C.shape[0]
+    # B laid out as np.tensordot(x, B, axes=(0, 0)) lays it out, so the
+    # product below has the same bits
+    B_rows = B.reshape(d, -1)
 
     def matrix(x):
-        return (C + np.tensordot(x, B, axes=(0, 0))
-                + np.einsum("i,j,ijsk->sk", x, x, A))
+        linear = np.dot(np.asarray(x).reshape(1, d), B_rows).reshape(order, order)
+        return C + linear + np.einsum("i,j,ijsk->sk", x, x, A)
 
     def derivative(x):
         return B + np.einsum("j,kjsl->ksl", x, A) \
@@ -154,9 +157,16 @@ def quadratic_matrix_map(C, B, A) -> SmoothMatrixMap:
                            matrix_derivative=derivative)
 
 
-def quadratic_sdp(seed: int | None = None, *, dim=2, order=2,
-                  C=None, B=None, A=None, objective=None,
-                  box_halfwidth=3.0, mu=None,
+# A random quadratic_sdp instance has QSDP_DIM variables and matrices of
+# order QSDP_ORDER; every instance lives on the box [-3, 3]^d.
+QSDP_DIM = 2
+QSDP_ORDER = 2
+QSDP_BOX_HALFWIDTH = 3.0
+STIEFEL_BOX_HALFWIDTH = 2.0  # stiefel instances live on the box [-2, 2]^d
+
+
+def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
+                  objective=None, mu=None,
                   validate=True) -> ProblemInstance:
     """Quadratic matrix-inequality instance, random (seeded) or explicit.
 
@@ -166,6 +176,7 @@ def quadratic_sdp(seed: int | None = None, *, dim=2, order=2,
     valid launch point (recorded in known_facts).
     """
     if C is None:
+        dim, order = QSDP_DIM, QSDP_ORDER
         rng = np.random.default_rng(seed)
         C = _sym(rng.uniform(-1, 1, (order, order)))
         B = np.array([_sym(rng.uniform(-1, 1, (order, order)))
@@ -208,8 +219,8 @@ def quadratic_sdp(seed: int | None = None, *, dim=2, order=2,
         name=f"quadratic_sdp[{seed}]" if seed is not None else "quadratic_sdp",
         objective=objective,
         constraint=constraint,
-        feasible_set=box(-box_halfwidth * np.ones(dim),
-                         box_halfwidth * np.ones(dim)),
+        feasible_set=box(-QSDP_BOX_HALFWIDTH * np.ones(dim),
+                         QSDP_BOX_HALFWIDTH * np.ones(dim)),
         known_facts=facts)
     if validate:
         instance.self_check(seed=0, samples=60)
@@ -224,8 +235,8 @@ def _sym(M):
 # Orthogonality (Stiefel) instances
 
 
-def stiefel(m: int, order: int, objective: ScalarDcFunction | None = None,
-            box_halfwidth=2.0) -> ProblemInstance:
+def stiefel(m: int, order: int, objective: ScalarDcFunction | None = None
+            ) -> ProblemInstance:
     """Orthogonality constraint X'X = I as two stacked PSD inequalities.
 
     X is m x order (flattened row-major into d = m * order variables).  The
@@ -281,8 +292,8 @@ def stiefel(m: int, order: int, objective: ScalarDcFunction | None = None,
         name=f"stiefel_{m}x{order}",
         objective=objective,
         constraint=constraint,
-        feasible_set=box(-box_halfwidth * np.ones(d),
-                         box_halfwidth * np.ones(d)),
+        feasible_set=box(-STIEFEL_BOX_HALFWIDTH * np.ones(d),
+                         STIEFEL_BOX_HALFWIDTH * np.ones(d)),
         known_facts={"orthonormal_point": X0.reshape(-1)})
 
 

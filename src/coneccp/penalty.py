@@ -23,6 +23,7 @@ from .subproblem import build_penalized, recover_slack
 FIXED_POINT = "fixed_point"
 SMALL_MERIT_CHANGE = "small_merit_change"
 MAX_ITER = "max_iter"
+INNER_ITER_LIMIT = "inner_iter_limit"  # a subproblem left unsolved; no step taken
 
 FIXED_POINT_RTOL = 1e-9
 MERIT_SLACK = 1e-8
@@ -90,7 +91,11 @@ def _penalty_update(tau, s_norm, cfg: PenaltyConfig, e_norm: float) -> float:
 
 
 def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
-    """Run the penalty CCP from any point of the set (feasibility not required)."""
+    """Run the penalty CCP from any point of the set (feasibility not required).
+
+    A subproblem the inner solver leaves at its iteration limit ends the run
+    with termination ``INNER_ITER_LIMIT`` at the last accepted iterate.
+    """
     cfg = config
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if not problem.feasible_set.contains(x):
@@ -111,6 +116,9 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
         v = problem.objective.h0.subgrad(x)
         spec = build_penalized(problem, x, v, tau)
         rep = inner.solve_convex(spec, tol=INNER_TOL, feasible_hint=x)
+        if rep.status == inner.ITER_LIMIT:
+            trace.termination = INNER_ITER_LIMIT
+            break
         x_new = rep.x_hat
         s_new = recover_slack(spec, x_new)
         f_new = problem.objective.f0(x_new)

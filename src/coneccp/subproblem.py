@@ -9,12 +9,12 @@ in closed form through the cone's positive part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import (ConeElement, eigenpairs, lambda_max_scalarize,
-                    project_pos, inner)
+                    positive_part, project_pos, inner)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
 from .errors import InvalidPenalty, OracleCheckError
 from .feasible import FeasibleSet
@@ -36,27 +36,61 @@ SELF_CHECK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LinearizedConstraint:
-    """G(x) - H(x_n) - DH(x_n)(x - x_n), an outer approximation of F near x_n."""
+    """G(x) - H(x_n) - DH(x_n)(x - x_n), an outer approximation of F near x_n.
+
+    The inner solver asks for a value and a subgradient at each point it
+    visits, so the last point asked keeps its linearization and the eigen
+    data derived from it in a one-entry memo keyed on the bytes of x: a
+    point costs one evaluation of G, which still passes the full validation
+    of :meth:`Cone.element`, and one eigendecomposition per PSD block.  The
+    memo is one tuple replaced by a single assignment, so a concurrent reader
+    sees a whole entry or none; it belongs to this object, one per
+    subproblem.
+    """
 
     base_point: np.ndarray
     h_base: ConeElement
     dh_base: ConeDerivative
     gmap: KConvexOracle
     cone: object
+    # (bytes of x, linearization, lambda_max_scalarize result, eigenpairs);
+    # the last two are None until some caller needs them
+    _memo: tuple = field(default=(None, None, None, None), init=False,
+                         repr=False, compare=False)
 
     def value(self, x) -> ConeElement:
         x = np.asarray(x, dtype=float)
         step = self.dh_base.apply(x - self.base_point)
         return self.gmap.value(x) - self.h_base - step
 
+    def _memoized(self, x, need_pairs):
+        """(linearization, scalarization, eigenpairs) at x, through the memo;
+        the scalarization is filled in unless ``need_pairs``, else the
+        eigenpairs."""
+        key = x.tobytes()
+        memo_key, y, sc, pairs = self._memo
+        if memo_key != key:
+            y, sc, pairs = self.value(x), None, None
+        if need_pairs and pairs is None:
+            pairs = tuple(eigenpairs(y))
+        if not need_pairs and sc is None:
+            sc = lambda_max_scalarize(y)
+        object.__setattr__(self, "_memo", (key, y, sc, pairs))
+        return y, sc, pairs
+
     def scalarized(self, x) -> float:
-        return lambda_max_scalarize(self.value(x)).value
+        return self._memoized(np.asarray(x, dtype=float), False)[1].value
 
     def scalarized_subgrad(self, x) -> np.ndarray:
-        sc = lambda_max_scalarize(self.value(x))
-        return (self.gmap.quad_form_subgrad(np.asarray(x, dtype=float),
-                                            sc.block, sc.vector)
+        x = np.asarray(x, dtype=float)
+        sc = self._memoized(x, False)[1]
+        return (self.gmap.quad_form_subgrad(x, sc.block, sc.vector)
                 - self.dh_base.quad_form_grad(sc.block, sc.vector))
+
+    def eigen(self, x) -> tuple[ConeElement, tuple]:
+        """The linearization at x and its :func:`eigenpairs`, all read-only."""
+        y, _, pairs = self._memoized(np.asarray(x, dtype=float), True)
+        return y, pairs
 
 
 @dataclass(frozen=True)
@@ -66,7 +100,8 @@ class SubproblemSpec:
     ``objective`` is g0(x) - <v, x - x_n>, with the closed-form slack cost
     added in penalized mode.  ``constraint`` is the scalarized linearization
     (absent in penalized mode).  Immutable: the linearization caches H(x_n)
-    and DH(x_n) at build time.
+    and DH(x_n) at build time; its only changing state is the memo of the
+    last point asked.
     """
 
     objective: ConvexOracle
@@ -144,14 +179,15 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
     shifted = _shifted_objective(problem, x_n, v_n)
     identity = problem.constraint.cone.identity()
 
+    # value and subgradient at one point share one eigendecomposition
     def value(x):
-        pos = project_pos(lin.value(x))
+        pos = positive_part(*lin.eigen(x))
         return shifted.value(x) + tau * inner(identity, pos)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
         out = shifted.subgrad(x)
-        for k, w, vecs in eigenpairs(lin.value(x)):
+        for k, w, vecs in lin.eigen(x)[1]:
             for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
                 u = vecs[:, idx]
                 out = out + tau * (lin.gmap.quad_form_subgrad(x, k, u)

@@ -35,3 +35,74 @@ def replay_step4(trace, cfg):
         if b.tau != expect:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The subproblem oracles as first written: every call evaluates G afresh,
+# applies DH(x_n) with np.tensordot and decomposes each block with its own
+# eigh.  The memoized oracles must return these answers bit for bit.
+
+
+def linearization_reference(problem, x_n, x):
+    """Blocks of G(x) - H(x_n) - DH(x_n)(x - x_n)."""
+    cmap = problem.constraint
+    g = cmap.G.value(x).blocks
+    h = cmap.H.value(x_n).blocks
+    dh = cmap.H.derivative(x_n).blocks
+    return tuple((gb - hb) - np.tensordot(x - x_n, arr, axes=(0, 0))
+                 for gb, hb, arr in zip(g, h, dh))
+
+
+def _eig(block):
+    """Eigenvalues and unit eigenvectors; coordinates for orthant blocks."""
+    if block.ndim == 2:
+        return np.linalg.eigh(block)
+    return block, np.eye(block.size)
+
+
+def _quad_form_subgrad(problem, x_n, x, k, u):
+    cmap = problem.constraint
+    return (cmap.G.quad_form_subgrad(x, k, u)
+            - cmap.H.derivative(x_n).quad_form_grad(k, u))
+
+
+def constrained_reference(problem, x_n, x):
+    """(scalarized value, its subgradient) of the linearized constraint:
+    the largest eigenvalue (first of the largest block on ties) and its unit
+    eigenvector (or coordinate indicator)."""
+    best = None
+    for k, block in enumerate(linearization_reference(problem, x_n, x)):
+        if block.ndim == 2:
+            w, vecs = np.linalg.eigh(block)
+            val, vec = float(w[-1]), vecs[:, -1].copy()
+        else:
+            i = int(np.argmax(block))
+            vec = np.zeros(block.size)
+            vec[i] = 1.0
+            val = float(block[i])
+        if best is None or val > best[0]:
+            best = (val, k, vec)
+    val, k, vec = best
+    return val, _quad_form_subgrad(problem, x_n, x, k, vec)
+
+
+def penalized_reference(problem, x_n, v_n, tau, x):
+    """(value, subgradient) of g0(x) - <v_n, x - x_n> + tau <e, pos(lin(x))>,
+    with eigenvalues above 1e-12 contributing to the subgradient."""
+    g0 = problem.objective.g0
+    blocks = linearization_reference(problem, x_n, x)
+    identity = problem.constraint.cone.identity().blocks
+    cost = 0.0
+    for e, block in zip(identity, blocks):
+        w, vecs = _eig(block)
+        pos = ((vecs * np.maximum(w, 0.0)) @ vecs.T if block.ndim == 2
+               else np.maximum(block, 0.0))
+        cost += float(np.sum(e * pos))
+    value = g0.value(x) - float(v_n @ (x - x_n)) + tau * float(cost)
+    grad = g0.subgrad(x) - v_n
+    for k, block in enumerate(blocks):
+        w, vecs = _eig(block)
+        for idx in np.nonzero(w > 1e-12)[0]:
+            grad = grad + tau * _quad_form_subgrad(problem, x_n, x, k,
+                                                   vecs[:, idx])
+    return value, grad

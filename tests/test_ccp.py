@@ -56,6 +56,19 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="objective increased"):
             run_ccp(example29(), [2.0])
 
+    def test_inner_iteration_limit_ends_the_run(self, monkeypatch):
+        # solve_convex binds MAX_CUTS as a default, so wrap the function
+        real = inner.solve_convex
+        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
+                            real(spec, **kwargs, max_cuts=3))
+        p = quadratic_sdp(2)
+        x0 = p.known_facts["strictly_feasible_point"]
+        tr = run_ccp(p, x0)
+        assert tr.termination == ccp.INNER_ITER_LIMIT
+        # the unconverged subproblem point is not taken as a step
+        assert tr.iterations == 0 and np.array_equal(tr.final_x, x0)
+        assert tr.jsonl_records()[-1]["status"] == ccp.INNER_ITER_LIMIT
+
     def test_iterates_feasible_and_descending(self):
         p = quadratic_sdp(2)
         tr = run_ccp(p, p.known_facts["strictly_feasible_point"],

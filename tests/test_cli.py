@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coneccp import inner
 from coneccp.cli import main
 from coneccp.errors import OracleCheckError, SchemaError
 from coneccp.library import ProblemInstance
@@ -54,6 +55,17 @@ class TestSolveCommands:
         # the start may be infeasible for this instance; accept either the
         # limit code or an infeasible-start signal, but never success
         assert code in (2, 4)
+
+    def test_inner_iteration_limit_exit_code(self, capsys, monkeypatch):
+        real = inner.solve_convex
+        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
+                            real(spec, **kwargs, max_cuts=2))
+        small = str(DOCS / "quadratic_sdp_small.json")
+        for algorithm in ("ccp", "penalty-ccp"):
+            code, out, _ = run_cli(capsys, "solve", algorithm, "--problem",
+                                   small, "--x0", "0,0", "--json")
+            assert code == 4
+            assert json.loads(out)["termination"] == "inner_iter_limit"
 
     def test_unknown_flag_exits_usage(self, capsys):
         for argv in (["solve", "ccp", "--no-such-flag"],

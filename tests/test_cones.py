@@ -52,6 +52,28 @@ class TestProjection:
         y = PSD2.element(np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]]))
         assert np.array_equal(y.blocks[0], y.blocks[0].T)
 
+    def test_exactly_symmetric_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            for M in (np.array([[bad, 1.0], [1.0, 0.0]]),
+                      np.array([[0.0, bad], [bad, 0.0]])):
+                with pytest.raises(InvalidElement, match="non-finite"):
+                    PSD2.element(M)
+
+    def test_exactly_symmetric_block_checked_for_shape(self):
+        with pytest.raises(InvalidElement, match="psd block must be 2x2"):
+            PSD2.element(np.eye(3))
+
+    def test_stored_blocks_do_not_alias_the_caller(self):
+        cone = ProductCone((PSD2, ORTH2))
+        M = np.array([[2.0, 0.5], [0.5, 1.0]])  # exactly symmetric
+        v = np.array([1.0, -1.0])
+        y = cone.element((M, v))
+        M[0, 0], v[0] = 7.0, 7.0
+        assert y.blocks[0][0, 0] == 2.0 and y.blocks[1][0] == 1.0
+        assert not any(b.flags.writeable for b in y.blocks)
+        with pytest.raises(ValueError):
+            y.blocks[0][0, 0] = 3.0
+
 
 class TestDistance:
     def test_already_in_negative_cone(self):

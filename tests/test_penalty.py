@@ -203,6 +203,17 @@ class TestInvariants:
             run_penalty_ccp(example29(), [-1.0],
                             PenaltyConfig(**REFERENCE_CFG))
 
+    def test_inner_iteration_limit_ends_the_run(self, monkeypatch):
+        # solve_convex binds MAX_CUTS as a default, so wrap the function
+        real = inner.solve_convex
+        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
+                            real(spec, **kwargs, max_cuts=2))
+        p = quadratic_sdp(9)
+        x0 = np.array([2.0, -2.0])
+        tr = run_penalty_ccp(p, x0, PenaltyConfig(**REFERENCE_CFG))
+        assert tr.termination == penalty.INNER_ITER_LIMIT
+        assert tr.iterations == 0 and np.array_equal(tr.final_x, x0)
+
 
 class TestConfigValidation:
     def test_bad_parameters_rejected(self):

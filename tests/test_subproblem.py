@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneccp import inner
-from coneccp.cones import lambda_max_scalarize
-from coneccp.dc import ConvexOracle
+from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
+from coneccp.dc import (ConeDcMap, ConeDerivative, ConvexOracle,
+                        KConvexOracle, ScalarDcFunction, SmoothKConvexOracle,
+                        quadratic_oracle)
 from coneccp.errors import InvalidPenalty, OracleCheckError
 from coneccp.feasible import box
-from coneccp.library import example29, quadratic_sdp, stiefel
+from coneccp.library import ProblemInstance, example29, quadratic_sdp, stiefel
 from coneccp.subproblem import (PENALIZED, SubproblemSpec, build_constrained,
                                 build_penalized, linearize_constraint,
                                 recover_slack)
+
+from oracles import constrained_reference, penalized_reference
 
 
 def interval_oracle(z):
@@ -174,3 +180,148 @@ class TestOuterApproximation:
                               mode=PENALIZED)
         with pytest.raises(OracleCheckError, match="not convex"):
             spec.self_check()
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per point: the memoized oracles against fresh evaluations
+
+
+CONES = {
+    "psd": lambda: PsdCone(3),
+    "orthant": lambda: Orthant(3),
+    "product": lambda: ProductCone((PsdCone(2), Orthant(2), PsdCone(1))),
+}
+
+
+def random_problem(cone, d, rng):
+    """G(x) = C + sum_i x_i B_i + (mu/2)|x|^2 e and H(x) = (rho/2)|x|^2 E per
+    block, with E in the cone; a quadratic objective on the box [-2, 2]^d."""
+    mu, rho = 1.5, 2.0
+    data = []
+    for leaf in cone.leaves():
+        if isinstance(leaf, PsdCone):
+            l = leaf.order
+            sym = lambda M: 0.5 * (M + M.T)
+            W = rng.normal(size=(l, l))
+            data.append((sym(rng.normal(size=(l, l))),
+                         np.array([sym(rng.normal(size=(l, l)))
+                                   for _ in range(d)]),
+                         np.eye(l), W @ W.T))
+        else:
+            m = leaf.dim
+            data.append((rng.normal(size=m), rng.normal(size=(d, m)),
+                         np.ones(m), rng.uniform(0.0, 1.0, m)))
+
+    def g_value(x):
+        sq = 0.5 * mu * float(x @ x)
+        return cone.element(tuple(
+            C + np.einsum("i,i...->...", x, B) + sq * e
+            for C, B, e, _ in data))
+
+    def g_qf_subgrad(x, k, v):
+        _, B, _, _ = data[k]
+        lin = (np.einsum("kij,i,j->k", B, v, v) if B.ndim == 3
+               else B @ (v * v))
+        return lin + mu * float(v @ v) * x
+
+    def h_value(x):
+        sq = 0.5 * rho * float(x @ x)
+        return cone.element(tuple(sq * E for _, _, _, E in data))
+
+    def h_derivative(x):
+        return ConeDerivative(cone, tuple(
+            rho * np.multiply.outer(x, E) for _, _, _, E in data))
+
+    W = rng.normal(size=(d, d))
+    objective = ScalarDcFunction(
+        g0=quadratic_oracle(W @ W.T + np.eye(d), rng.normal(size=d)),
+        h0=quadratic_oracle(0.5 * np.eye(d)), dim=d)
+    constraint = ConeDcMap(cone, KConvexOracle(g_value, g_qf_subgrad),
+                           SmoothKConvexOracle(h_value, h_derivative), dim=d)
+    return ProblemInstance("random", objective, constraint,
+                           box(-2.0 * np.ones(d), 2.0 * np.ones(d)))
+
+
+def bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(CONES)), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_memoized_oracles_match_fresh_evaluations(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(CONES[kind](), d, rng)
+    x_n = rng.uniform(-2.0, 2.0, d)
+    v_n = problem.objective.h0.subgrad(x_n)
+    tau = float(rng.uniform(0.1, 10.0))
+    con = build_constrained(problem, x_n, v_n)
+    pen = build_penalized(problem, x_n, v_n, tau)
+    x, y = rng.uniform(-2.0, 2.0, d), rng.uniform(-2.0, 2.0, d)
+    # points close to y, then one bit away from that: a memo keyed on
+    # anything coarser than the bytes of x answers for y there
+    y_near = y.copy()
+    y_near[0] += 1e-9
+    y_ulp = y_near.copy()
+    y_ulp[0] = np.nextafter(y_near[0], np.inf)
+    # one buffer holds every point in turn, so a memo that kept the array
+    # or its identity instead of its bytes answers for a stale point
+    buf = np.empty(d)
+    asks = {
+        "scalarized": lambda s, p: s.constraint.scalarized(p),
+        "scalarized_subgrad": lambda s, p: s.constraint.scalarized_subgrad(p),
+        "value": lambda s, p: s.objective.value(p),
+        "subgrad": lambda s, p: s.objective.subgrad(p),
+    }
+    for point in (x, y, x, y_near, y_ulp, y_ulp):
+        buf[:] = point
+        scal, scal_sub = constrained_reference(problem, x_n, point)
+        val, sub = penalized_reference(problem, x_n, v_n, tau, point)
+        expect = {"scalarized": scal, "scalarized_subgrad": scal_sub,
+                  "value": val, "subgrad": sub}
+        for name in rng.permutation(sorted(asks)):
+            spec = con if name.startswith("scalarized") else pen
+            fresh = (build_constrained(problem, x_n, v_n) if spec is con
+                     else build_penalized(problem, x_n, v_n, tau))
+            got = asks[name](spec, buf)
+            assert bits(got) == bits(asks[name](fresh, point.copy())), name
+            assert bits(got) == bits(expect[name]), name
+        lin_y, pairs = pen.lin.eigen(buf)
+        for _, w, vecs in pairs:
+            assert not (w.flags.writeable or vecs.flags.writeable)
+        assert not any(b.flags.writeable for b in lin_y.blocks)
+
+
+@pytest.mark.parametrize("make,psd_blocks", [
+    (lambda: quadratic_sdp(3), 1),
+    (lambda: stiefel(2, 2), 2),
+    (lambda: random_problem(CONES["product"](), 3,
+                            np.random.default_rng(0)), 2),
+])
+def test_one_eigh_per_psd_block_per_visited_point(make, psd_blocks,
+                                                  monkeypatch):
+    problem = make()
+    fs = problem.feasible_set
+    x_n = 0.3 * fs.hi
+    v_n = problem.objective.h0.subgrad(x_n)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(1) or
+                        real(a, *args, **kw))
+    x = 0.1 * fs.lo
+    # one constrained Kelley visit: objective and constraint, value and
+    # subgradient, two cuts, then the cut limit ends the loop
+    con = build_constrained(problem, x_n, v_n)
+    run = inner._kelley_min(con.objective.value, con.objective.subgrad, fs,
+                            1e-9, 2, seeds=[x], constraint=con.constraint,
+                            tol_feas=inner.TOL_FEAS)
+    assert run.cuts == 2
+    assert len(calls) == psd_blocks
+    # the penalized value and subgradient at one point share their eigh
+    calls.clear()
+    pen = build_penalized(problem, x_n, v_n, 2.0)
+    pen.objective.subgrad(x)
+    pen.objective.value(x)
+    assert len(calls) == psd_blocks
