@@ -163,11 +163,16 @@ def _as_blocks(cone: Cone, blocks) -> tuple[np.ndarray, ...]:
                 raise InvalidElement(
                     f"psd block must be {leaf.order}x{leaf.order}, got {a.shape}")
             if not (a == a.T).all():
-                asym = np.linalg.norm(a - a.T)
-                if asym > SYM_RTOL * max(1.0, np.linalg.norm(a)):
+                # measured on a copy scaled by the largest entry and
+                # symmetrized half by half, so nothing overflows near the
+                # float limit
+                scale = float(np.abs(a).max())
+                b = a / scale
+                asym = float(np.linalg.norm(b - b.T)) * scale
+                if asym > SYM_RTOL * max(1.0, float(np.linalg.norm(b)) * scale):
                     raise InvalidElement(
                         f"psd block asymmetry {asym:.3e} exceeds tolerance")
-                a = 0.5 * (a + a.T)
+                a = 0.5 * a + 0.5 * a.T
         else:
             a = a.reshape(-1)
             if a.shape != (leaf.dim,):

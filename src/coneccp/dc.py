@@ -13,6 +13,8 @@ is then safe for concurrent use.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,6 +28,7 @@ log = logging.getLogger(__name__)
 # Sampled checks: draws per check and the tolerances a violation must exceed.
 OBJECTIVE_CHECK_SAMPLES = 40
 OBJECTIVE_CHECK_RTOL = 1e-9
+MAP_CHECK_SAMPLES = 200
 DERIVATIVE_CHECK_SAMPLES = 10
 CONVEXITY_TOL = 1e-9
 # Hessian estimation: sample points, finite-difference step, inflation.
@@ -180,12 +183,13 @@ class ConeDcMap:
     def value(self, x) -> ConeElement:
         return self.G.value(x) - self.H.value(x)
 
-    def self_check(self, box, seed=0, samples=200):
-        verdict = verify_k_convexity(self.G, self.cone, samples, box, seed=seed)
+    def self_check(self, box, seed=0):
+        verdict = verify_k_convexity(self.G, self.cone, MAP_CHECK_SAMPLES, box,
+                                     seed=seed)
         if not verdict.passed:
             raise OracleCheckError(
                 f"G fails the cone-convexity check: {verdict.witness}")
-        verdict = verify_k_convexity(self.H, self.cone, samples, box,
+        verdict = verify_k_convexity(self.H, self.cone, MAP_CHECK_SAMPLES, box,
                                      seed=seed + 1)
         if not verdict.passed:
             raise OracleCheckError(
@@ -408,8 +412,9 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
 
     With M bounding the Frobenius norm of every componentwise Hessian of F,
     the pair G(x) = F(x) + (mu/2)|x|^2 I and H(x) = (mu/2)|x|^2 I is a valid
-    decomposition for any mu >= order * M; smaller mu raises
-    :class:`BoundTooSmall`.  When no bound is supplied it is estimated by
+    decomposition for any mu >= order * M; smaller mu (or a NaN bound)
+    raises :class:`BoundTooSmall`, and a mu that is not a finite real number
+    raises ValueError.  When no bound is supplied it is estimated by
     sampling over ``box`` and the result is flagged uncertified.
     """
     notes: tuple[str, ...] = ()
@@ -423,7 +428,10 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     threshold = F.order * hessian_bound
     if mu is None:
         mu = threshold
-    if mu < threshold * (1.0 - 1e-12):
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) \
+            or not math.isfinite(mu):
+        raise ValueError(f"mu must be a finite real number, got {mu!r}")
+    if not mu >= threshold * (1.0 - 1e-12):
         raise BoundTooSmall(
             f"mu={mu} below the certified threshold {threshold}")
 

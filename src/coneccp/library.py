@@ -2,9 +2,11 @@
 
 Every instance bundles the objective split, the constraint map, the feasible
 box, and whatever analytic facts are known about it (critical points,
-multipliers, strictly feasible points).  Constructors run oracle self checks
-so a malformed instance fails fast, and seeded generators are bitwise
-reproducible.
+multipliers, strictly feasible points).  Convexity is certified exactly, not
+sampled: a quadratic split by its regularization bound, a generated quadratic
+objective by construction, a univariate polynomial by
+:func:`polynomial_nonconvexity`.  ``ProblemInstance.self_check`` samples on
+request.  Seeded generators are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ class ProblemInstance:
     feasible_set: FeasibleSet
     known_facts: dict = field(default_factory=dict)
 
-    def self_check(self, seed=0, samples=200):
+    def self_check(self, seed=0):
+        """Sample the convexity of every declared convex part on the box.
+
+        Passing is evidence, not proof; no loader or generator calls this.
+        """
         bounds = (self.feasible_set.lo, self.feasible_set.hi)
         self.objective.self_check(bounds, seed=seed)
-        self.constraint.self_check(bounds, seed=seed, samples=samples)
+        self.constraint.self_check(bounds, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +59,59 @@ def _poly_oracle(coeffs) -> ConvexOracle:
     return ConvexOracle(value, subgrad)
 
 
+# p'' may dip below zero by this much, relative to 1 + max |p''| over the
+# points checked, before a polynomial counts as nonconvex
+CURVATURE_RTOL = 1e-9
+# leading terms of p''' (with the box scaled into [-1, 1]) smaller than this,
+# relative to its largest term, are dropped before its roots are taken
+ROOT_RTOL = 1e-14
+
+
+def polynomial_nonconvexity(coeffs, lo: float, hi: float
+                            ) -> tuple[float, float] | None:
+    """Exact convexity certificate of a univariate polynomial on [lo, hi].
+
+    p is convex there exactly when p'' >= 0 there, and the minimum of p''
+    is attained at an endpoint or at a real root of p'''.  p'' is evaluated
+    at both endpoints and at the real parts of all roots of p''' clipped to
+    the interval (a multiple root may come out as a complex cluster; its
+    real parts still land on it).  Returns None when p is convex, else the
+    point of the smallest p'' and that value (NaN when the scaled p'''
+    overflows); a p'' that overflows on the interval is not certified
+    either.
+
+    The roots are taken in s = x / max(|lo|, |hi|), so that each term of
+    p''' is bounded on the box by its coefficient.  Dropping the leading
+    terms below ``ROOT_RTOL`` of the largest keeps the companion matrix
+    finite and moves the minimum of p'' by far less than the tolerance.
+    """
+    P = np.polynomial.polynomial  # loaded on first use, not on import
+    d2 = P.polyder(np.asarray(coeffs, dtype=float), 2)
+    d3 = P.polyder(d2)
+    scale = max(abs(lo), abs(hi))
+    with np.errstate(all="ignore"):
+        q = d3 * scale ** np.arange(d3.size)
+        if not np.isfinite(q).all():
+            return float(lo), float("nan")
+        big = np.flatnonzero(np.abs(q) > ROOT_RTOL * np.abs(q).max())
+        s = P.polyroots(q[:big[-1] + 1]).real if big.size else np.empty(0)
+        ts = np.concatenate(([lo, hi], np.clip(scale * s, lo, hi)))
+        vals = P.polyval(ts, d2)
+    if not np.isfinite(vals).all():
+        k = int(np.argmin(np.isfinite(vals)))
+        return float(ts[k]), float(vals[k])
+    k = int(np.argmin(vals))
+    if vals[k] < -CURVATURE_RTOL * (1.0 + np.abs(vals).max()):
+        return float(ts[k]), float(vals[k])
+    return None
+
+
 def polynomial_constraint_map(g_coeffs: list, h_coeffs: list) -> ConeDcMap:
     """Univariate componentwise map over the orthant: rows G_i(x) - H_i(x).
 
     Coefficient lists are ascending (c0 + c1 x + ...).  Both sides must be
-    convex on the box of interest; instance self checks enforce this by
-    sampling.
+    convex on the box of interest; the file loader certifies this with
+    :func:`polynomial_nonconvexity`.
     """
     if len(g_coeffs) != len(h_coeffs):
         raise ConeCcpError("need one (G, H) coefficient pair per row")
@@ -174,7 +227,16 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
     certified curvature bound; the generator shifts C so that a sampled
     interior point is strictly feasible, giving the feasible-start method a
     valid launch point (recorded in known_facts).
+
+    Nothing here samples the split: with explicit ``C``, ``B`` and ``A``
+    checked to be finite symmetric blocks (:class:`InvalidElement`
+    otherwise), it is K-convex by theorem once ``mu`` passes the bound
+    check, and the generated (or default) objective is a
+    positive semidefinite quadratic by construction.  A caller's
+    ``objective`` is opaque, so ``validate`` gates only the sampled
+    :meth:`ScalarDcFunction.self_check` of that objective.
     """
+    supplied_objective = objective is not None
     if C is None:
         dim, order = QSDP_DIM, QSDP_ORDER
         rng = np.random.default_rng(seed)
@@ -202,6 +264,10 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
         B = np.asarray(B, dtype=float)
         A = np.asarray(A, dtype=float)
         dim, order = B.shape[0], C.shape[0]
+        # the bound certifies the split only for finite symmetric blocks
+        cone = PsdCone(order)
+        for block in (C, *B, *A.reshape(-1, order, order)):
+            cone.element(block)
         x_bar = None
         if objective is None:
             objective = ScalarDcFunction(
@@ -215,16 +281,16 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
     facts = {"hessian_bound": bound}
     if x_bar is not None:
         facts["strictly_feasible_point"] = x_bar
-    instance = ProblemInstance(
+    feasible_set = box(-QSDP_BOX_HALFWIDTH * np.ones(dim),
+                       QSDP_BOX_HALFWIDTH * np.ones(dim))
+    if validate and supplied_objective:
+        objective.self_check((feasible_set.lo, feasible_set.hi))
+    return ProblemInstance(
         name=f"quadratic_sdp[{seed}]" if seed is not None else "quadratic_sdp",
         objective=objective,
         constraint=constraint,
-        feasible_set=box(-QSDP_BOX_HALFWIDTH * np.ones(dim),
-                         QSDP_BOX_HALFWIDTH * np.ones(dim)),
+        feasible_set=feasible_set,
         known_facts=facts)
-    if validate:
-        instance.self_check(seed=0, samples=60)
-    return instance
 
 
 def _sym(M):

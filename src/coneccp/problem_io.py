@@ -3,21 +3,29 @@
 Files are JSON documents with a ``kind`` selector; see docs/problem-format.md
 for the schema and annotated examples.  Validation failures raise
 :class:`SchemaError` with a path-like message.
+
+Loading certifies the convexity of every declared convex part exactly and
+samples nothing: a ``quadratic_sdp`` constraint split by its regularization
+bound, its objective parts by the eigenvalues of ``P``, and every polynomial
+of a ``scalar_dc_polynomial`` file by
+:func:`~coneccp.library.polynomial_nonconvexity` on the box.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .dc import ComponentwiseDcMatrix, ScalarDcFunction, quadratic_oracle
-from .errors import OracleCheckError, SchemaError
+from .errors import SchemaError
 from .feasible import FeasibleSet
 from .library import (ProblemInstance, _poly_oracle, builtin,
                       diagonal_componentwise, polynomial_constraint_map,
-                      quadratic_componentwise, quadratic_sdp)
+                      polynomial_nonconvexity, quadratic_componentwise,
+                      quadratic_sdp)
 
 KINDS = ("builtin", "quadratic_sdp", "scalar_dc_polynomial")
 
@@ -56,25 +64,21 @@ def load_problem(source) -> ProblemInstance:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
-    try:
+    with _schema_errors():
         if kind == "builtin":
             return _load_builtin(doc)
         if kind == "quadratic_sdp":
-            inst, _ = _load_quadratic(doc)
-            inst.self_check(samples=60)
-            return inst
+            return _load_quadratic(doc)[0]
         return _load_polynomial(doc)
-    except (OracleCheckError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]:
     """Entrywise-DC matrix view of a problem file, for the eigenvalue split.
 
     Univariate polynomial problems (and the example29 builtin) become
-    diagonal matrices of their constraint rows, whose convexity is sampled
-    as in :func:`load_problem`; quadratic instances are validated, not
-    sampled, and split entrywise by curvature sign.
+    diagonal matrices of their constraint rows, certified convex as in
+    :func:`load_problem`; quadratic instances are validated and split
+    entrywise by curvature sign.
     """
     doc = _read_source(source)
     kind = doc.get("kind")
@@ -85,18 +89,29 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
                "constraints": [{"G": [0.0, 0.0, 1.0],
                                 "H": [0.0, 0.0, 0.0, 0.0, 1.0]}]}
         kind = "scalar_dc_polynomial"
-    if kind == "scalar_dc_polynomial":
-        inst = _load_polynomial(doc)
-        rows = doc["constraints"]
-        F = diagonal_componentwise([r["G"] for r in rows],
-                                   [r["H"] for r in rows])
-        return F, inst.feasible_set, inst.name
-    if kind == "quadratic_sdp":
-        inst, (C, B, A) = _load_quadratic(doc)
-        return quadratic_componentwise(C, B, A), inst.feasible_set, inst.name
+    with _schema_errors():
+        if kind == "scalar_dc_polynomial":
+            inst = _load_polynomial(doc)
+            rows = doc["constraints"]
+            F = diagonal_componentwise([r["G"] for r in rows],
+                                       [r["H"] for r in rows])
+            return F, inst.feasible_set, inst.name
+        if kind == "quadratic_sdp":
+            inst, (C, B, A) = _load_quadratic(doc)
+            return (quadratic_componentwise(C, B, A), inst.feasible_set,
+                    inst.name)
     raise SchemaError(
         "entrywise decomposition needs a scalar_dc_polynomial or "
         "quadratic_sdp problem (or the example29 builtin)")
+
+
+@contextmanager
+def _schema_errors():
+    """Report a ValueError raised while parsing as a schema violation."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _require(doc, key, typ, where="problem file"):
@@ -146,10 +161,23 @@ def _psd_quadratic(spec, dim, where):
     P = _symmetric(_require(spec, "P", list, where), f"{where}.P", dim)
     if float(np.linalg.eigvalsh(P)[0]) < -1e-8:
         raise SchemaError(f"{where}.P must be positive semidefinite")
-    p = np.asarray(spec.get("p", np.zeros(dim)), dtype=float).reshape(-1)
+    p = _finite(spec.get("p", np.zeros(dim)), f"{where}.p").reshape(-1)
     if p.size != dim:
         raise SchemaError(f"{where}.p must have length {dim}")
-    return quadratic_oracle(P, p, float(spec.get("c", 0.0)))
+    c = _finite(spec.get("c", 0.0), f"{where}.c")
+    if c.ndim != 0:
+        raise SchemaError(f"{where}.c must be a number")
+    return quadratic_oracle(P, p, float(c))
+
+
+def _finite(raw, name) -> np.ndarray:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name} must be numeric") from None
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name} must be finite")
+    return arr
 
 
 def _quadratic_constraint(doc, d):
@@ -177,7 +205,7 @@ def _quadratic_constraint(doc, d):
 
 
 def _load_quadratic(doc):
-    """The validated instance, not yet sampled, and its (C, B, A)."""
+    """The validated instance and its (C, B, A)."""
     fs = _load_box(doc)
     d = fs.dim
     C, B, A = _quadratic_constraint(doc, d)
@@ -199,11 +227,22 @@ def _load_quadratic(doc):
 
 
 def _coeffs(raw, where):
-    arr = np.asarray(raw, dtype=float).reshape(-1)
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
+    arr = _finite(raw, where).reshape(-1)
+    if arr.size == 0:
         raise SchemaError(f"{where} must be a nonempty list of finite "
                           "coefficients (ascending powers)")
     return arr
+
+
+def _convex_coeffs(spec, key, where, fs):
+    """The coefficients of spec[key], certified convex on the box."""
+    c = _coeffs(_require(spec, key, list, where), f"{where}.{key}")
+    defect = polynomial_nonconvexity(c, fs.lo[0], fs.hi[0])
+    if defect is not None:
+        t, curvature = defect
+        raise SchemaError(f"{where}.{key} is not convex on the box: its "
+                          f"second derivative is {curvature:.3e} at x = {t:.6g}")
+    return c
 
 
 def _load_polynomial(doc) -> ProblemInstance:
@@ -212,10 +251,8 @@ def _load_polynomial(doc) -> ProblemInstance:
         raise SchemaError("scalar_dc_polynomial is univariate: box needs "
                           "exactly one [lo, hi] pair")
     obj = _require(doc, "objective", dict)
-    g0 = _poly_oracle(_coeffs(_require(obj, "g0", list, "objective"),
-                              "objective.g0"))
-    h0 = _poly_oracle(_coeffs(_require(obj, "h0", list, "objective"),
-                              "objective.h0"))
+    g0 = _poly_oracle(_convex_coeffs(obj, "g0", "objective", fs))
+    h0 = _poly_oracle(_convex_coeffs(obj, "h0", "objective", fs))
     rows = _require(doc, "constraints", list)
     if not rows:
         raise SchemaError("constraints must list at least one row")
@@ -223,15 +260,11 @@ def _load_polynomial(doc) -> ProblemInstance:
     for k, row in enumerate(rows):
         if not isinstance(row, dict):
             raise SchemaError(f"constraints[{k}] must be an object")
-        g_coeffs.append(_coeffs(_require(row, "G", list, f"constraints[{k}]"),
-                                f"constraints[{k}].G"))
-        h_coeffs.append(_coeffs(_require(row, "H", list, f"constraints[{k}]"),
-                                f"constraints[{k}].H"))
-    inst = ProblemInstance(
+        g_coeffs.append(_convex_coeffs(row, "G", f"constraints[{k}]", fs))
+        h_coeffs.append(_convex_coeffs(row, "H", f"constraints[{k}]", fs))
+    return ProblemInstance(
         name=doc.get("name", "scalar_dc_polynomial(file)"),
         objective=ScalarDcFunction(g0=g0, h0=h0, dim=1),
         constraint=polynomial_constraint_map(g_coeffs, h_coeffs),
         feasible_set=fs,
         known_facts=doc.get("known_facts", {}))
-    inst.self_check(samples=80)
-    return inst

@@ -4,13 +4,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneccp import inner
+from coneccp import dc, inner
 from coneccp.cli import main
 from coneccp.errors import OracleCheckError, SchemaError
-from coneccp.library import ProblemInstance
+from coneccp.library import ProblemInstance, builtin, quadratic_sdp
 from coneccp.problem_io import load_componentwise, load_problem
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "examples"
+EXAMPLES = ("builtin_example29.json", "polynomial_quartic.json",
+            "quadratic_sdp_small.json")
+
+
+def edited(doc, path, value):
+    """A deep copy of the document with the entry at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 def run_cli(capsys, *argv):
@@ -233,11 +246,91 @@ class TestProblemFiles:
                                    "--problem", json.dumps(doc))
             assert code == 3
             assert fragment in err
-        # polynomial files are still sampled: the split uses their rows
+        # polynomial rows, which the split uses, are certified, not sampled
+        quartic = json.loads((DOCS / "polynomial_quartic.json").read_text())
+        quartic["constraints"][0]["G"] = [0.0, 0.0, -1.0]
         code, _, err = run_cli(capsys, "decompose", "lambda-max", "--problem",
-                               str(DOCS / "polynomial_quartic.json"))
+                               json.dumps(quartic))
         assert code == 3
-        assert "convexity sampled" in err
+        assert "constraints[0].G is not convex on the box" in err
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        """Make every sampled convexity check raise."""
+        def refuse(*args, **kwargs):
+            raise OracleCheckError("convexity sampled")
+
+        monkeypatch.setattr(ProblemInstance, "self_check", refuse)
+        monkeypatch.setattr(dc.ScalarDcFunction, "self_check", refuse)
+        monkeypatch.setattr(dc, "verify_k_convexity", refuse)
+
+    def test_loads_and_builds_certify_without_sampling(self, capsys,
+                                                       no_sampling):
+        for name in EXAMPLES:
+            load_problem(DOCS / name)
+            load_problem(str(DOCS / name))
+        load_componentwise(DOCS / "polynomial_quartic.json")
+        builtin("quadratic_sdp_42")
+        for seed in range(4):
+            quadratic_sdp(seed)
+        code, out, _ = run_cli(capsys, "solve", "ccp", "--problem",
+                               str(DOCS / "quadratic_sdp_small.json"),
+                               "--x0", "0,0", "--json")
+        assert code == 0
+        # every rejection still holds, certified instead of sampled
+        small = json.loads((DOCS / "quadratic_sdp_small.json").read_text())
+        quartic = json.loads((DOCS / "polynomial_quartic.json").read_text())
+        concave, cubic = [0.0, 0.0, -1.0], [0.0, 0.0, 0.0, 1.0]
+        cases = [
+            (edited(small, ("constraint", "C"), [[-1.0, 0.5], [0.0, -1.0]]),
+             "constraint.C is not symmetric"),
+            (edited(small, ("constraint", "mu"), 1e-6),
+             "below the certified threshold"),
+            (edited(small, ("objective", "g0", "P"),
+                    [[1.0, 0.0], [0.0, -1e-3]]),
+             "objective.g0.P must be positive semidefinite"),
+            (edited(small, ("box",), [[-3.0, 3.0], [3.0, -3.0]]), "lo > hi"),
+            (edited(quartic, ("objective", "g0"), concave),
+             "objective.g0 is not convex on the box"),
+            (edited(quartic, ("objective", "h0"), concave),
+             "objective.h0 is not convex on the box"),
+            (edited(quartic, ("constraints", 0, "G"), cubic),
+             "constraints[0].G is not convex on the box"),
+            (edited(quartic, ("constraints", 0, "H"), cubic),
+             "constraints[0].H is not convex on the box"),
+            (edited(quartic, ("constraints", 0, "G"), [{"a": 1.0}]),
+             "constraints[0].G must be numeric"),
+            (edited(quartic, ("objective", "g0"), [float("nan")]),
+             "objective.g0 must be finite"),
+        ]
+        for doc, fragment in cases:
+            code, _, err = run_cli(capsys, "solve", "ccp", "--problem",
+                                   json.dumps(doc), "--x0", "0,0")
+            assert code == 3, fragment
+            assert fragment in err
+
+    @pytest.mark.parametrize("path, value, fragment", [
+        (("constraint", "mu"), "abc", "mu must be a finite real number"),
+        (("constraint", "mu"), float("nan"), "mu must be a finite real number"),
+        (("constraint", "mu"), float("inf"), "mu must be a finite real number"),
+        (("constraint", "mu"), True, "mu must be a finite real number"),
+        (("objective", "g0", "p"), [float("nan"), 0.0],
+         "objective.g0.p must be finite"),
+        (("objective", "h0", "p"), ["x", 0.0], "objective.h0.p must be numeric"),
+        (("objective", "g0", "c"), float("inf"), "objective.g0.c must be finite"),
+        (("objective", "h0", "c"), float("-inf"),
+         "objective.h0.c must be finite"),
+        (("objective", "g0", "c"), [1.0], "objective.g0.c must be a number"),
+    ])
+    def test_malformed_numbers_exit_3(self, capsys, no_sampling, path, value,
+                                      fragment):
+        text = json.dumps(edited(json.loads(
+            (DOCS / "quadratic_sdp_small.json").read_text()), path, value))
+        for argv in (("solve", "ccp", "--problem", text, "--x0", "0,0"),
+                     ("decompose", "lambda-max", "--problem", text)):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert fragment in err
 
     def test_componentwise_views(self):
         F, fs, _ = load_componentwise({"kind": "builtin", "name": "example29"})

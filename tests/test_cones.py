@@ -52,6 +52,17 @@ class TestProjection:
         y = PSD2.element(np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]]))
         assert np.array_equal(y.blocks[0], y.blocks[0].T)
 
+    def test_near_symmetric_block_at_the_float_limit(self):
+        # the asymmetry norm and the symmetrized sum must not overflow; any
+        # overflow warning fails this test under the RuntimeWarning filter
+        big = 1.2e308
+        y = PSD2.element(np.array([[1.0, big], [big * (1 - 2 ** -52), 1.0]]))
+        assert np.isfinite(y.blocks[0]).all()
+        assert np.array_equal(y.blocks[0], y.blocks[0].T)
+        assert y.blocks[0][0, 1] == pytest.approx(big, rel=1e-15)
+        with pytest.raises(InvalidElement, match="asymmetry"):
+            PSD2.element(np.array([[1.0, big], [-big, 1.0]]))
+
     def test_exactly_symmetric_nonfinite_rejected(self):
         for bad in (np.nan, np.inf):
             for M in (np.array([[bad, 1.0], [1.0, 0.0]]),

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
 from coneccp.dc import verify_k_convexity
-from coneccp.errors import ConeCcpError
-from coneccp.library import (builtin, example29, nonconvex_witness,
-                             quadratic_hessian_bound, quadratic_matrix_map,
-                             quadratic_sdp, random_componentwise_dc, stiefel,
+from coneccp.errors import ConeCcpError, InvalidElement, SchemaError
+from coneccp.library import (CURVATURE_RTOL, builtin, example29,
+                             nonconvex_witness, polynomial_constraint_map,
+                             polynomial_nonconvexity, quadratic_hessian_bound,
+                             quadratic_matrix_map, quadratic_sdp,
+                             random_componentwise_dc, stiefel,
                              stiefel11_builtin, with_strong_convexity)
 from coneccp.penalty import PenaltyConfig, run_penalty_ccp
+from coneccp.problem_io import load_problem
 
 
 class TestExample29:
@@ -73,6 +79,19 @@ class TestQuadraticSdp:
             x = rng.uniform(-3, 3, 2)
             assert p.constraint.H.value(x).norm() == 0.0
         assert p.known_facts["hessian_bound"] == 0.0
+
+    def test_malformed_explicit_blocks_rejected_at_construction(self):
+        # with no sampling left, the blocks themselves are checked
+        C = np.diag([-1.0, -1.0])
+        B = np.zeros((2, 2, 2))
+        A = np.zeros((2, 2, 2, 2))
+        bad_A = A.copy()
+        bad_A[0, 1, 0, 1] = bad_A[1, 0, 0, 1] = np.nan
+        for data, fragment in (
+                ((np.array([[-1.0, 1.0], [0.0, -1.0]]), B, A), "asymmetry"),
+                ((C, B, bad_A), "non-finite")):
+            with pytest.raises(InvalidElement, match=fragment):
+                quadratic_sdp(C=data[0], B=data[1], A=data[2])
 
     def test_curvature_bound_on_cross_term_instance(self):
         # single block A11 = [[0, 1], [1, 0]]: entry Hessians are the 1x1
@@ -166,3 +185,69 @@ class TestStrongConvexityShift:
                                                       abs=1e-12)
         assert q.objective.strong_convexity_of_h == 1.0
         q.objective.self_check((p.feasible_set.lo, p.feasible_set.hi))
+
+
+GRID = 20001
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+       lo=st.floats(-2.0, 2.0), width=st.floats(0.0, 3.0))
+def test_polynomial_certificate_matches_a_dense_grid(coeffs, lo, width):
+    hi = lo + width
+    d2 = P.polyder(coeffs, 2)
+    grid = np.linspace(lo, hi, GRID)
+    curvature = P.polyval(grid, d2)
+    tol = CURVATURE_RTOL * (1.0 + np.abs(curvature).max())
+    # between grid points p'' falls at most half a step times max |p'''|
+    slope = np.abs(P.polyval(grid, P.polyder(d2))).max()
+    margin = 0.5 * width / (GRID - 1) * slope + 1e-9
+    lowest = curvature.min()
+    defect = polynomial_nonconvexity(coeffs, lo, hi)
+    if lowest < -tol - margin:
+        assert defect is not None
+        t, value = defect
+        assert lo <= t <= hi
+        assert value <= lowest + 1e-12
+    elif lowest > -tol + margin:
+        assert defect is None
+    if defect is None:
+        bounds = (np.array([lo]), np.array([hi]))
+        cmap = polynomial_constraint_map([coeffs], [coeffs])
+        for part in (cmap.G, cmap.H):
+            assert verify_k_convexity(part, cmap.cone, 30, bounds,
+                                      seed=1).passed
+
+
+class TestPolynomialCertificate:
+    # p'' = 12 (t - 0.123)^2 - 1e-4 dips below zero only on a sliver about
+    # 0.006 wide of [-10, 10], which 80 random draws all but surely miss
+    SLIVER = [0.0, 0.0, 0.090724, -0.492, 1.0]
+
+    def test_sliver_of_negative_curvature_rejected(self):
+        t, value = polynomial_nonconvexity(self.SLIVER, -10.0, 10.0)
+        assert t == pytest.approx(0.123, abs=1e-9)
+        assert value == pytest.approx(-1e-4, rel=1e-6)
+        doc = {"kind": "scalar_dc_polynomial", "box": [[-10.0, 10.0]],
+               "objective": {"g0": [0.0, 0.0, 1.0], "h0": [0.0]},
+               "constraints": [{"G": self.SLIVER, "H": [0.0]}]}
+        with pytest.raises(SchemaError, match=r"constraints\[0\]\.G is not "
+                                              r"convex on the box"):
+            load_problem(doc)
+
+    def test_convex_on_the_box_only(self):
+        # x^3 is convex exactly on [0, inf)
+        cube = [0.0, 0.0, 0.0, 1.0]
+        assert polynomial_nonconvexity(cube, 0.0, 5.0) is None
+        t, value = polynomial_nonconvexity(cube, -1e-3, 5.0)
+        assert t == -1e-3 and value == pytest.approx(-6e-3)
+
+    def test_flat_and_multiple_root_curvature_accepted(self):
+        # affine parts have no curvature; x^4 and x^6 have p'' = 0 at 0,
+        # where the p''' of x^6 has a triple root; a subnormal leading
+        # coefficient must not overflow the root finder (any overflow
+        # warning fails the test)
+        for coeffs in ([3.0], [1.0, -2.0], [0.0, 0.0, 0.0, 0.0, 1.0],
+                       [0.0] * 6 + [1.0],
+                       [0.0, 0.0, 0.0, 0.0, 1.0, 2.225073858507e-311]):
+            assert polynomial_nonconvexity(coeffs, -2.0, 2.0) is None
