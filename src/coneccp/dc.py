@@ -123,11 +123,15 @@ class ConeDerivative:
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def apply(self, u: np.ndarray) -> ConeElement:
+        return ConeElement(self.cone, tuple(self.apply_blocks(u)))
+
+    def apply_blocks(self, u: np.ndarray):
+        """The blocks of :meth:`apply`, as a generator of plain arrays."""
         # the one product np.tensordot(u, arr, axes=(0, 0)) computes, without
         # its axis bookkeeping
-        return ConeElement(self.cone, tuple(
-            np.dot(u.reshape(1, len(arr)), arr.reshape(len(arr), -1))
-            .reshape(arr.shape[1:]) for arr in self.blocks))
+        row = u.reshape(1, len(u))
+        return (np.dot(row, arr.reshape(len(arr), -1)).reshape(arr.shape[1:])
+                for arr in self.blocks)
 
     def quad_form_grad(self, block: int, v: np.ndarray) -> np.ndarray:
         """Gradient of x -> <v, (D map)(x) v> for the given block direction."""

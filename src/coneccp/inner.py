@@ -11,9 +11,11 @@ turns infeasible, the positive lower bound that certifies it.  Master LPs are
 solved by the dense simplex in :mod:`coneccp.lp`, each one warm started from
 the previous master of the same run.
 
-One-dimensional subproblems take a bisection shortcut on the subgradient
-sign change; it must agree with the general path within tolerance and is
-what the analytic regression tests exercise.
+One-dimensional subproblems take a shortcut: a safeguarded false-position
+search brackets the sign change of the subgradient, and the boundary of the
+constraint's sublevel set, down to adjacent floats.  It must agree with the
+general path within tolerance and is what the analytic regression tests
+exercise.
 
 A solver instance's mutable state is local to one call; distinct solves may
 run concurrently.
@@ -21,6 +23,7 @@ run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +41,7 @@ ITER_LIMIT = "iter_limit"
 TOL_FEAS = 1e-8  # feasibility tolerance on constraint values
 MAX_CUTS = 5000  # cuts one Kelley loop may make before ITER_LIMIT
 _LB_SLACK = 1e-7  # tolerance of the monotone-lower-bound check
-_BISECT_ITERS = 200  # halvings, unless the midpoint rounds to an end first
+_BISECT_ITERS = 200  # steps of a 1-D search, and the halvings of its width
 
 
 @dataclass
@@ -70,7 +73,7 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=TOL_FEAS,
     whose scalarized constraint is below ``tol_feas``; in constrained mode an
     empty feasible region is certified by a positive lower bound on the
     constraint minimum over the set.  One-dimensional subproblems (unless
-    ``force_general``) bisect to the last bit of the float whatever ``tol``
+    ``force_general``) are bracketed down to adjacent floats whatever ``tol``
     is, and never end at ``ITER_LIMIT``.
     """
     if spec.feasible_set.dim == 1 and not force_general:
@@ -252,30 +255,77 @@ def _bounds_1d(fs: FeasibleSet):
     return lo, hi, lo > hi
 
 
+def _bracket(fn, a, fa, b, fb, stop_at_zero):
+    """Shrink a bracket [a, b] or [b, a] of a sign change of fn, fa <= 0 < fb.
+
+    Steps are Illinois false position (Dowell & Jarratt, BIT 11, 1971): the
+    secant root of the end values, where an end kept twice running has its
+    value halved.  A step is a midpoint instead whenever the steps so far
+    have not halved the bracket twice per three steps, so after n steps it
+    is at most 2**-(2n // 3) of its first width; after a midpoint the
+    secant starts afresh from the end values.  An estimate that rounds
+    onto an end steps one float into the bracket, or as far as the bracket
+    width bisection has at its cap if that is farther.
+
+    Stops where bisection stops: at adjacent floats, at the width of
+    ``_BISECT_ITERS`` halvings, after ``_BISECT_ITERS`` steps, or, when
+    ``stop_at_zero``, at an exact zero of fn, returned as both ends.  So a
+    boundary at 0.0 below which fn underflows to zero is found at 0.0, as
+    bisection finds it, not at a denormal.  Returns the final
+    (a, fa, b, fb), with fa <= 0 < fb as on entry.
+    """
+    width = abs(b - a)
+    res = width * 2.0 ** -_BISECT_ITERS
+    wa, wb = fa, fb  # the end values the secant uses
+    kept = 0  # +1 after a step moved a, -1 after one moved b
+    for n in range(_BISECT_ITERS):
+        m = 0.5 * (a + b)
+        if m == a or m == b or abs(b - a) <= res:
+            break
+        # denormal end values can both halve to zero, leaving no secant
+        if abs(b - a) > math.ldexp(width, -(2 * n // 3)) or wa == wb:
+            x = m
+        else:
+            x = a + (b - a) * (wa / (wa - wb))
+            toward_b, toward_a = math.nextafter(a, b), math.nextafter(b, a)
+            if a < b:
+                x = min(max(x, toward_b, a + res), toward_a, b - res)
+            else:
+                x = max(min(x, toward_b, a - res), toward_a, b + res)
+        fx = fn(x)
+        if fx == 0.0 and stop_at_zero:
+            return x, fx, x, fx
+        if fx <= 0.0:
+            if kept == 1:
+                wb *= 0.5
+            a, fa, wa, kept = x, fx, fx, 1
+        else:
+            if kept == -1:
+                wa *= 0.5
+            b, fb, wb, kept = x, fx, fx, -1
+        if x == m:  # the secant starts afresh after a midpoint
+            wa, wb, kept = fa, fb, 0
+    return a, fa, b, fb
+
+
 def _bisect_min(f, df, lo, hi):
-    """Minimize a convex scalar function on [lo, hi] by subgradient bisection.
+    """Minimize a convex scalar function on [lo, hi] by bracketing the sign
+    change of its subgradient down to adjacent floats.
 
     Returns (x, f(x), certified lower bound).
     """
     glo = df(lo)
     if glo >= 0.0:
-        return lo, f(lo), f(lo)
+        flo = f(lo)
+        return lo, flo, flo
     ghi = df(hi)
     if ghi <= 0.0:
-        return hi, f(hi), f(hi)
-    a, b, ga, gb = lo, hi, glo, ghi
-    for _ in range(_BISECT_ITERS):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        gm = df(m)
-        if gm < 0.0:
-            a, ga = m, gm
-        elif gm > 0.0:
-            b, gb = m, gm
-        else:
-            fm = f(m)
-            return m, fm, fm
+        fhi = f(hi)
+        return hi, fhi, fhi
+    a, ga, b, gb = _bracket(df, lo, glo, hi, ghi, stop_at_zero=True)
+    if ga == 0.0:
+        fm = f(a)
+        return a, fm, fm
     fa, fb = f(a), f(b)
     x = a if fa <= fb else b
     fx = min(fa, fb)
@@ -298,6 +348,10 @@ def _scalar(value, subgrad):
 
 
 def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
+    """A one-dimensional subproblem by bracketing, down to adjacent floats:
+    the constraint's minimum first (infeasible when above ``tol_feas``),
+    then the two ends of {constraint <= 0} around it, then the objective's
+    minimum between them."""
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     obj = _scalar(spec.objective.value, spec.objective.subgrad)
     if empty:
@@ -314,8 +368,8 @@ def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
         if phi_min > 0.0:
             a = b = x_min
         else:
-            a = lo if phi(lo) <= 0.0 else _bisect_root(phi, lo, x_min)
-            b = hi if phi(hi) <= 0.0 else _bisect_root(phi, hi, x_min)
+            a = _bisect_root(phi, lo, x_min, phi_min)
+            b = _bisect_root(phi, hi, x_min, phi_min)
         x, fx, lbv = _bisect_min(*obj, a, b)
         viol = max(phi(x), 0.0)
         return SolveReport(np.array([x]), fx, viol, max(fx - lbv, 0.0),
@@ -325,14 +379,12 @@ def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
     return SolveReport(np.array([x]), fx, 0.0, max(fx - lbv, 0.0), OPTIMAL)
 
 
-def _bisect_root(phi, outside, inside):
-    """Boundary point of {phi <= 0} between an outside and an inside point."""
-    for _ in range(_BISECT_ITERS):
-        m = 0.5 * (outside + inside)
-        if m == outside or m == inside:
-            break
-        if phi(m) <= 0.0:
-            inside = m
-        else:
-            outside = m
-    return inside
+def _bisect_root(phi, outside, inside, phi_in):
+    """The point of {phi <= 0} farthest from ``inside`` toward ``outside``,
+    given phi_in = phi(inside) <= 0: ``outside`` itself when phi <= 0 there,
+    else a point with phi <= 0 next to one with phi > 0."""
+    phi_out = phi(outside)
+    if phi_out <= 0.0:
+        return outside
+    return _bracket(phi, inside, phi_in, outside, phi_out,
+                    stop_at_zero=False)[0]

@@ -14,6 +14,7 @@ of a ``scalar_dc_polynomial`` file by
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -186,7 +187,9 @@ def _quadratic_constraint(doc, d):
     cone_desc = _require(doc, "cone", dict)
     if "psd" not in cone_desc:
         raise SchemaError("quadratic_sdp requires a {'psd': l} cone")
-    order = int(cone_desc["psd"])
+    order = cone_desc["psd"]
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise SchemaError(f"cone.psd must be a positive integer, got {order!r}")
     C = _symmetric(_require(con, "C", list, "constraint"), "constraint.C",
                    order)
     B_raw = _require(con, "B", list, "constraint")
@@ -216,8 +219,16 @@ def _load_quadratic(doc):
         h0=_psd_quadratic(_require(obj, "h0", dict, "objective"), d,
                           "objective.h0"),
         dim=d)
-    inst = quadratic_sdp(C=C, B=B, A=A, objective=objective,
-                         mu=doc["constraint"].get("mu"), validate=False)
+    mu = doc["constraint"].get("mu")
+    inst = quadratic_sdp(C=C, B=B, A=A, objective=objective, mu=mu,
+                         validate=False)
+    # G and H add (mu/2)|x|^2 I, which must stay finite on the whole box
+    if mu is None:
+        mu = C.shape[0] * inst.known_facts["hessian_bound"]
+    radius2 = sum(max(lo * lo, hi * hi)
+                  for lo, hi in zip(fs.lo.tolist(), fs.hi.tolist()))
+    if not math.isfinite(0.5 * mu * radius2):
+        raise SchemaError(f"mu={mu!r} overflows (mu/2)|x|^2 on the box")
     inst = ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
                            objective=inst.objective,
                            constraint=inst.constraint,

@@ -60,8 +60,10 @@ class LinearizedConstraint:
 
     def value(self, x) -> ConeElement:
         x = np.asarray(x, dtype=float)
-        step = self.dh_base.apply(x - self.base_point)
-        return self.gmap.value(x) - self.h_base - step
+        g = self.gmap.value(x)
+        steps = self.dh_base.apply_blocks(x - self.base_point)
+        return g._like((gb - hb) - step for gb, hb, step
+                       in zip(g.blocks, self.h_base.blocks, steps))
 
     def _memoized(self, x, need_pairs):
         """(linearization, scalarization, eigenpairs) at x, through the memo;

@@ -106,3 +106,56 @@ def penalized_reference(problem, x_n, v_n, tau, x):
             grad = grad + tau * _quad_form_subgrad(problem, x_n, x, k,
                                                    vecs[:, idx])
     return value, grad
+
+
+# ---------------------------------------------------------------------------
+# The one-dimensional searches as first written: plain bisection, halving the
+# bracket until the midpoint rounds onto an end or 200 halvings are done.
+# The bracketing search in coneccp.inner must agree with them.
+
+
+def bisect_min_reference(f, df, lo, hi, iters=200):
+    """(x, f(x), lower bound) of a convex f on [lo, hi] by subgradient
+    bisection; the lower bound comes from the two bracketing tangents."""
+    glo = df(lo)
+    if glo >= 0.0:
+        return lo, f(lo), f(lo)
+    ghi = df(hi)
+    if ghi <= 0.0:
+        return hi, f(hi), f(hi)
+    a, b, ga, gb = lo, hi, glo, ghi
+    for _ in range(iters):
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        gm = df(m)
+        if gm < 0.0:
+            a, ga = m, gm
+        elif gm > 0.0:
+            b, gb = m, gm
+        else:
+            fm = f(m)
+            return m, fm, fm
+    fa, fb = f(a), f(b)
+    x = a if fa <= fb else b
+    fx = min(fa, fb)
+    denom = gb - ga
+    if denom > 0:
+        xc = min(max((fa - fb + gb * b - ga * a) / denom, a), b)
+        lbv = min(max(fa + ga * (xc - a), fb + gb * (xc - b)), fx)
+    else:
+        lbv = fx
+    return x, fx, lbv
+
+
+def bisect_root_reference(phi, outside, inside, iters=200):
+    """Boundary point of {phi <= 0} between an outside and an inside point."""
+    for _ in range(iters):
+        m = 0.5 * (outside + inside)
+        if m == outside or m == inside:
+            break
+        if phi(m) <= 0.0:
+            inside = m
+        else:
+            outside = m
+    return inside

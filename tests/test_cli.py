@@ -321,7 +321,14 @@ class TestProblemFiles:
         (("objective", "h0", "c"), float("-inf"),
          "objective.h0.c must be finite"),
         (("objective", "g0", "c"), [1.0], "objective.g0.c must be a number"),
+        (("cone", "psd"), [2], "cone.psd must be a positive integer"),
+        (("cone", "psd"), True, "cone.psd must be a positive integer"),
+        (("cone", "psd"), 2.5, "cone.psd must be a positive integer"),
+        (("cone", "psd"), 0, "cone.psd must be a positive integer"),
+        # finite and above the threshold, but (mu/2)|x|^2 overflows on the box
+        (("constraint", "mu"), 1e308, "overflows (mu/2)|x|^2 on the box"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_numbers_exit_3(self, capsys, no_sampling, path, value,
                                       fragment):
         text = json.dumps(edited(json.loads(

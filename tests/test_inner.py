@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,8 @@ from coneccp.subproblem import (PENALIZED, build_constrained,
                                 linearize_constraint)
 
 
-from oracles import projected_gradient
+from oracles import (bisect_min_reference, bisect_root_reference,
+                     projected_gradient)
 
 
 def bare_spec(oracle, fs):
@@ -190,3 +192,124 @@ class TestSlaterProbe:
         lin = linearize_constraint(p, x_bar)
         probe = inner.slater_probe(lin, p.feasible_set)
         assert probe.holds
+
+
+# ---------------------------------------------------------------------------
+# The bracketing search of the 1-D path against plain bisection
+
+
+def _counted(fn):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+    return counted, calls
+
+
+@st.composite
+def convex_1d(draw):
+    """(f, f') of a convex function of one variable, f' a subgradient:
+    a quadratic, a kink |x - c|, a max of affine pieces, or the constraint
+    x^2 - x^4 of example 29 linearized at some z."""
+    coef = st.floats(-10.0, 10.0, allow_subnormal=False)
+    kind = draw(st.sampled_from(["quadratic", "kink", "max_affine", "e29"]))
+    if kind == "quadratic":
+        q, c, s = draw(st.floats(1e-3, 10.0)), draw(coef), draw(coef)
+        return (lambda x: 0.5 * q * (x - c) ** 2 + s), (lambda x: q * (x - c))
+    if kind == "kink":
+        c, s = draw(coef), draw(coef)
+        return (lambda x: abs(x - c) + s), (lambda x: float(np.sign(x - c)))
+    if kind == "max_affine":
+        pieces = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=5))
+        slopes = np.array([p[0] for p in pieces])
+        offsets = np.array([p[1] for p in pieces])
+        return (lambda x: float(np.max(slopes * x + offsets)),
+                lambda x: float(slopes[np.argmax(slopes * x + offsets)]))
+    z = draw(st.floats(-2.0, 2.0, allow_subnormal=False))
+    return (lambda x: x * x - (z ** 4 + 4.0 * z ** 3 * (x - z)),
+            lambda x: 2.0 * x - 4.0 * z ** 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(convex_1d(), st.floats(-10.0, 0.0), st.floats(0.0, 10.0))
+def test_bracketing_agrees_with_bisection(fdf, lo, hi):
+    f, df = fdf
+    scale = 4.0 * math.ulp(max(abs(f(lo)), abs(f(hi)), 1.0))
+    (cf, nf), (cdf, ndf) = _counted(f), _counted(df)
+    x, fx, lb = inner._bisect_min(cf, cdf, lo, hi)
+    (rf, mf), (rdf, mdf) = _counted(f), _counted(df)
+    _, f_ref, _ = bisect_min_reference(rf, rdf, lo, hi)
+    assert abs(fx - f_ref) <= scale
+    # near its minimum the computed f varies by rounding alone
+    assert lb <= min(f(t) for t in np.linspace(lo, hi, 2001)) + scale
+    assert nf[0] + ndf[0] <= 2 * (mf[0] + mdf[0])
+    if fx > 0.0:
+        return
+    for out in (lo, hi):
+        if f(out) <= 0.0:
+            continue
+        phi, n = _counted(f)
+        root = inner._bisect_root(phi, out, x, fx)
+        ref, m = _counted(f)
+        ref(out)
+        root_ref = bisect_root_reference(ref, out, x)
+        beyond = math.nextafter(root, out)
+        assert f(root) <= 0.0
+        # past the root phi is positive, or zero to within rounding: where
+        # the computed phi flickers in sign or underflows; so is phi between
+        # the two roots
+        assert f(beyond) > 0.0 or abs(f(beyond)) <= scale
+        assert abs(f(0.5 * (root + root_ref))) <= scale
+        assert n[0] <= 2 * m[0]
+
+
+def test_bracketing_with_denormal_values():
+    # phi = 1.5e-323 (x - c) is denormal or zero on the whole box, so the
+    # halved end values of the secant can both reach zero
+    for c, lo, hi in ((-0.052438944099000295, -7.69271694480658,
+                       1.7570598508131703),
+                      (-0.2824622222740931, -2.7900203241717145,
+                       0.28526001289822067)):
+        def phi(x):
+            return 1.5e-323 * (x - c)
+        root = inner._bisect_root(phi, hi, lo, phi(lo))
+        assert phi(root) <= 0.0 < phi(math.nextafter(root, hi))
+
+
+def test_boundary_at_zero_is_found_at_zero():
+    # the linearization of example 29 at 0 is x^2, zero only at 0.0 but
+    # underflowing to 0 below about 1e-162: bisection ends at 0.0 after its
+    # 200 halvings, and so must the bracketing search, in two evaluations
+    phi, n = _counted(lambda x: x * x)
+    assert inner._bisect_root(phi, 10.0, 0.0, 0.0) == 0.0
+    assert n[0] == 2
+    p = example29()
+    spec = build_constrained(p, np.array([0.0]),
+                             p.objective.h0.subgrad(np.array([0.0])))
+    assert inner.solve_convex(spec).x_hat[0] == 0.0
+
+
+def test_one_dimensional_runs_evaluate_few_linearizations(monkeypatch):
+    # a count, not a time: the CCP run of example 29 from 2 and the penalty
+    # run of acceptance criterion 1 take 279 and 104 evaluations of the
+    # linearization; plain bisection takes 1191 and 782
+    from coneccp import subproblem
+    from coneccp.ccp import CcpConfig, run_ccp
+    from coneccp.penalty import PenaltyConfig, run_penalty_ccp
+
+    calls = 0
+    value = subproblem.LinearizedConstraint.value
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return value(self, x)
+
+    monkeypatch.setattr(subproblem.LinearizedConstraint, "value", counted)
+    run_ccp(example29(), [2.0], CcpConfig())
+    assert calls <= 300
+    calls = 0
+    run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
+        tau0=1.0, mu=2.0, kappa=1e-6, tau_max=1024.0))
+    assert calls <= 115
