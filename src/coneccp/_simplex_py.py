@@ -1,26 +1,35 @@
-"""Primal simplex pivot kernel (numpy).
+"""Simplex pivot kernels (numpy): the primal loop and the dual loop.
 
 The tableau layout is
 
     T[0:m, :]   constraint rows, right-hand side in the last column
     T[m, :]     reduced-cost row, negated objective value in the last column
 
-``ncols`` restricts the columns eligible to enter the basis (used to lock
-artificial columns out of phase two).  Dantzig pricing by default; after
-``BLAND_AFTER`` consecutive degenerate pivots the kernel switches to Bland's
-rule, which cannot cycle.
+Both loops pivot with :func:`pivot` and return (status, pivots), the status
+one of the strings :mod:`coneccp.lp` reports.  In the primal loop ``ncols``
+restricts the columns eligible to enter the basis (used to lock artificial
+columns out of phase two).  Dantzig pricing by default; after
+``BLAND_AFTER`` consecutive degenerate pivots it switches to Bland's rule,
+which cannot cycle.
 """
 
 import numpy as np
 
-OPTIMAL = 0
-UNBOUNDED = 1
-ITER_LIMIT = 2
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+ITER_LIMIT = "iter_limit"
 
+PIVOT_TOL = 1e-10
 BLAND_AFTER = 50
 
 
-def pivot_loop(T, basis, ncols, tol, max_pivots):
+def pivot_loop(T, basis, ncols, max_pivots):
+    """Primal simplex on a tableau whose right-hand sides are nonnegative.
+
+    OPTIMAL once no eligible reduced cost is negative, UNBOUNDED when an
+    entering column has no positive entry, or ITER_LIMIT.
+    """
     m = T.shape[0] - 1
     pivots = 0
     degenerate_run = 0
@@ -28,37 +37,61 @@ def pivot_loop(T, basis, ncols, tol, max_pivots):
     while pivots < max_pivots:
         obj = T[m, :ncols]
         if bland:
-            neg = np.nonzero(obj < -tol)[0]
+            neg = np.nonzero(obj < -PIVOT_TOL)[0]
             if neg.size == 0:
                 return OPTIMAL, pivots
             col = int(neg[0])
         else:
             col = int(np.argmin(obj))
-            if obj[col] >= -tol:
+            if obj[col] >= -PIVOT_TOL:
                 return OPTIMAL, pivots
         colvals = T[:m, col]
         rhs = T[:m, T.shape[1] - 1]
-        eligible = colvals > tol
+        eligible = colvals > PIVOT_TOL
         if not np.any(eligible):
             return UNBOUNDED, pivots
         ratios = np.full(m, np.inf)
         ratios[eligible] = rhs[eligible] / colvals[eligible]
         best = float(np.min(ratios))
-        ties = np.nonzero(ratios <= best + tol * (1.0 + abs(best)))[0]
+        ties = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))[0]
         row = int(ties[np.argmin(basis[ties])])
-        if best <= tol:
+        if best <= PIVOT_TOL:
             degenerate_run += 1
             if degenerate_run >= BLAND_AFTER:
                 bland = True
         else:
             degenerate_run = 0
-        _pivot(T, row, col)
+        pivot(T, row, col)
         basis[row] = col
         pivots += 1
     return ITER_LIMIT, pivots
 
 
-def _pivot(T, row, col):
+def dual_loop(T, basis, max_pivots):
+    """Dual simplex on a tableau whose reduced costs are nonnegative.
+
+    Most negative right-hand side leaves; the entering column minimizes
+    reduced cost over minus the row entry.  OPTIMAL once every right-hand
+    side is nonnegative, INFEASIBLE when a negative row has no negative
+    entry, or ITER_LIMIT.
+    """
+    m = T.shape[0] - 1
+    for pivots in range(max_pivots):
+        row = int(np.argmin(T[:m, -1]))
+        if T[row, -1] >= -PIVOT_TOL:
+            return OPTIMAL, pivots
+        entries = T[row, :-1]
+        cols = np.nonzero(entries < -PIVOT_TOL)[0]
+        if cols.size == 0:
+            return INFEASIBLE, pivots
+        ratios = np.maximum(T[m, cols], 0.0) / -entries[cols]
+        col = int(cols[np.argmin(ratios)])
+        pivot(T, row, col)
+        basis[row] = col
+    return ITER_LIMIT, max_pivots
+
+
+def pivot(T, row, col):
     T[row, :] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0

@@ -173,7 +173,6 @@ def _cmd_solve(args) -> int:
             "f0": trace.records[-1].f0,
             "infeas": trace.records[-1].infeas,
         }
-        limit = trace.termination in (ccp.MAX_ITER, ccp.INNER_ITER_LIMIT)
     else:
         cfg = penalty.PenaltyConfig(tau0=args.tau0, mu=args.mu,
                                     kappa=args.kappa, tau_max=args.tau_max,
@@ -189,7 +188,7 @@ def _cmd_solve(args) -> int:
             "f0": last.f0, "infeas": last.infeas,
             "s_norm": last.s_norm, "tau": last.tau, "merit": last.merit,
         }
-        limit = trace.termination in (penalty.MAX_ITER, penalty.INNER_ITER_LIMIT)
+    limit = trace.termination in (ccp.MAX_ITER, ccp.INNER_ITER_LIMIT)
     if args.trace:
         _write_trace(args.trace, trace.jsonl_records())
     _emit(report, args.json)

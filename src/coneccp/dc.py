@@ -35,6 +35,10 @@ CONVEXITY_TOL = 1e-9
 HESSIAN_SAMPLES = 25
 HESSIAN_STEP = 1e-4
 HESSIAN_SAFETY = 1.5
+# Largest rounding, eps * (mu/2) * max |x|^2 over the box, that the
+# regularizer may put on F: the inner solver's feasibility tolerance
+# (inner.TOL_FEAS, which this module cannot import without a cycle).
+REGULARIZER_ROUNDING_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +424,10 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     raises :class:`BoundTooSmall`, and a mu that is not a finite real number
     raises ValueError.  When no bound is supplied it is estimated by
     sampling over ``box`` and the result is flagged uncertified.
+
+    The linearization subtracts (mu/2)|x_n|^2 I from G, so F survives in it
+    only to about eps * (mu/2) * |x|^2.  Given a ``box`` (lo, hi), a mu whose
+    rounding there exceeds ``REGULARIZER_ROUNDING_TOL`` raises ValueError.
     """
     notes: tuple[str, ...] = ()
     if hessian_bound is None:
@@ -438,6 +446,14 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     if not mu >= threshold * (1.0 - 1e-12):
         raise BoundTooSmall(
             f"mu={mu} below the certified threshold {threshold}")
+    if box is not None:
+        radius2 = sum(max(a * a, b * b) for a, b in zip(
+            np.ravel(box[0]).tolist(), np.ravel(box[1]).tolist()))
+        rounding = math.ulp(1.0) * 0.5 * float(mu) * radius2
+        if not rounding <= REGULARIZER_ROUNDING_TOL:
+            raise ValueError(
+                f"mu={mu!r} rounds F away on the box: eps*(mu/2)*max|x|^2 "
+                f"= {rounding:.3g} exceeds {REGULARIZER_ROUNDING_TOL:g}")
 
     cone = F.cone
     eye = np.eye(F.order)

@@ -64,21 +64,21 @@ class SlaterProbe:
     status: str = OPTIMAL
 
 
-def solve_convex(spec: SubproblemSpec, tol=1e-8, tol_feas=TOL_FEAS,
-                 max_cuts=MAX_CUTS, feasible_hint=None,
-                 force_general=False) -> SolveReport:
+def solve_convex(spec: SubproblemSpec, tol=1e-8,
+                 feasible_hint=None) -> SolveReport:
     """Epsilon-optimal minimization of a subproblem spec.
 
     Returns a point whose objective is within ``tol`` of the optimum and
-    whose scalarized constraint is below ``tol_feas``; in constrained mode an
-    empty feasible region is certified by a positive lower bound on the
-    constraint minimum over the set.  One-dimensional subproblems (unless
-    ``force_general``) are bracketed down to adjacent floats whatever ``tol``
-    is, and never end at ``ITER_LIMIT``.
+    whose scalarized constraint is at most ``TOL_FEAS``; in constrained mode
+    an empty feasible region is certified by a positive lower bound on the
+    constraint minimum over the set.  A Kelley loop that makes ``MAX_CUTS``
+    cuts ends at ``ITER_LIMIT``.  One-dimensional subproblems are bracketed
+    down to adjacent floats whatever ``tol`` is, and never end at
+    ``ITER_LIMIT``.
     """
-    if spec.feasible_set.dim == 1 and not force_general:
-        return _solve_1d(spec, tol_feas)
-    return _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint)
+    if spec.feasible_set.dim == 1:
+        return _solve_1d(spec)
+    return _solve_general(spec, tol, feasible_hint)
 
 
 def slater_probe(constraint: LinearizedConstraint,
@@ -99,7 +99,7 @@ def slater_probe(constraint: LinearizedConstraint,
             return SlaterProbe(True, np.array([xs]), val, lbv)
         return SlaterProbe(False, None, val, lbv)
     run = _kelley_min(constraint.scalarized, constraint.scalarized_subgrad,
-                      fs, TOL_FEAS, MAX_CUTS, seeds=[fs.center()],
+                      fs, TOL_FEAS, seeds=[fs.center()],
                       stop_below=-2.0 * TOL_FEAS)
     if run.value < -TOL_FEAS:
         return SlaterProbe(True, run.x, run.value, run.lower_bound, run.status)
@@ -156,15 +156,15 @@ class _KelleyRun(NamedTuple):
     points: list  # every point cut at, in order
 
 
-def _kelley_min(value, subgrad, fs: FeasibleSet, tol, max_cuts, seeds,
-                stop_below=None, constraint=None, tol_feas=0.0) -> _KelleyRun:
+def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
+                stop_below=None, constraint=None) -> _KelleyRun:
     """Cutting-plane minimization of one convex scalar function over fs.
 
     With a scalarized ``constraint`` every point also yields a constraint
-    cut, and only points where the constraint is at most ``tol_feas`` become
+    cut, and only points where the constraint is at most ``TOL_FEAS`` become
     incumbents.  Ends OPTIMAL once the incumbent is within ``tol`` of the
     master lower bound or below ``stop_below``, INFEASIBLE when the cuts
-    exclude every point of fs, ITER_LIMIT otherwise.
+    exclude every point of fs, ITER_LIMIT after ``MAX_CUTS`` cuts.
     """
     master = _Master(fs)
     points: list[np.ndarray] = []
@@ -179,14 +179,14 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, max_cuts, seeds,
             cv = constraint.scalarized(x)
             master.cut(cv, constraint.scalarized_subgrad(x), x, epigraph=False)
         points.append(x)
-        if cv <= tol_feas and (best is None or f < best[0]):
+        if cv <= TOL_FEAS and (best is None or f < best[0]):
             best = (f, x, max(cv, 0.0))
 
     for s in seeds:
         visit(np.asarray(s, dtype=float))
     lb = -np.inf
     status = ITER_LIMIT
-    while master.cuts < max_cuts:
+    while master.cuts < MAX_CUTS:
         if stop_below is not None and best is not None and best[0] < stop_below:
             status = OPTIMAL
             break
@@ -209,12 +209,12 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, max_cuts, seeds,
     return _KelleyRun(x, f, lb, status, master.cuts, viol, points)
 
 
-def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
+def _solve_general(spec, tol, feasible_hint=None):
     fs = spec.feasible_set
     con = spec.constraint
     seed = fs.center() if feasible_hint is None else feasible_hint
     run = _kelley_min(spec.objective.value, spec.objective.subgrad, fs, tol,
-                      max_cuts, [seed], constraint=con, tol_feas=tol_feas)
+                      [seed], constraint=con)
     if run.status != INFEASIBLE and run.x is not None:
         return SolveReport(run.x, run.value, run.violation,
                            max(run.value - run.lower_bound, 0.0), run.status,
@@ -227,9 +227,9 @@ def _solve_general(spec, tol, tol_feas, max_cuts, feasible_hint):
     # feasible point; sharpen a positive lower bound on the constraint
     # minimum over the set, starting from the last constraint points.
     cert = _kelley_min(con.scalarized, con.scalarized_subgrad, fs,
-                       min(tol, 1e-8), max_cuts, seeds=run.points[-4:])
+                       min(tol, 1e-8), seeds=run.points[-4:])
     cuts = run.cuts + cert.cuts
-    if cert.value <= tol_feas:
+    if cert.value <= TOL_FEAS:
         # The constraint minimum is attainable after all; report the point
         # as a feasible incumbent with unknown gap rather than mislabeling.
         return SolveReport(cert.x, spec.objective.value(cert.x),
@@ -347,9 +347,9 @@ def _scalar(value, subgrad):
             lambda x: float(subgrad(np.array([x]))[0]))
 
 
-def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
+def _solve_1d(spec: SubproblemSpec) -> SolveReport:
     """A one-dimensional subproblem by bracketing, down to adjacent floats:
-    the constraint's minimum first (infeasible when above ``tol_feas``),
+    the constraint's minimum first (infeasible when above ``TOL_FEAS``),
     then the two ends of {constraint <= 0} around it, then the objective's
     minimum between them."""
     lo, hi, empty = _bounds_1d(spec.feasible_set)
@@ -362,7 +362,7 @@ def _solve_1d(spec: SubproblemSpec, tol_feas) -> SolveReport:
         con = spec.constraint
         phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
         x_min, phi_min, phi_lb = _bisect_min(phi, dphi, lo, hi)
-        if phi_min > tol_feas:
+        if phi_min > TOL_FEAS:
             return SolveReport(None, np.nan, phi_min, np.nan, INFEASIBLE,
                                certificate=max(phi_lb, 0.0))
         if phi_min > 0.0:

@@ -143,6 +143,12 @@ def polynomial_constraint_map(g_coeffs: list, h_coeffs: list) -> ConeDcMap:
                      H=SmoothKConvexOracle(h_value, h_derivative), dim=1)
 
 
+# Example 29's constraint row x^2 - x^4 <= 0, as ascending coefficients of
+# its G and H sides; the entrywise view of problem_io reads them too.
+EXAMPLE29_G = (0.0, 0.0, 1.0)
+EXAMPLE29_H = (0.0, 0.0, 0.0, 0.0, 1.0)
+
+
 def example29() -> ProblemInstance:
     """One-dimensional regression instance with fully known structure.
 
@@ -154,9 +160,7 @@ def example29() -> ProblemInstance:
     objective = ScalarDcFunction(
         g0=quadratic_oracle(np.array([[2.0]]), np.array([-1.0]), 0.25),
         h0=zero_oracle(1), dim=1)
-    constraint = polynomial_constraint_map(
-        g_coeffs=[[0.0, 0.0, 1.0]],            # x^2
-        h_coeffs=[[0.0, 0.0, 0.0, 0.0, 1.0]])  # x^4
+    constraint = polynomial_constraint_map([EXAMPLE29_G], [EXAMPLE29_H])
     return ProblemInstance(
         name="example29",
         objective=objective,
@@ -274,15 +278,16 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
                 g0=quadratic_oracle(np.eye(dim)), h0=zero_oracle(dim),
                 dim=dim)
 
+    feasible_set = box(-QSDP_BOX_HALFWIDTH * np.ones(dim),
+                       QSDP_BOX_HALFWIDTH * np.ones(dim))
     smooth = quadratic_matrix_map(C, B, A)
     bound = quadratic_hessian_bound(A)
-    constraint = regularized_dc_decomposition(smooth, hessian_bound=bound,
-                                              mu=mu)
+    constraint = regularized_dc_decomposition(
+        smooth, hessian_bound=bound, mu=mu,
+        box=(feasible_set.lo, feasible_set.hi))
     facts = {"hessian_bound": bound}
     if x_bar is not None:
         facts["strictly_feasible_point"] = x_bar
-    feasible_set = box(-QSDP_BOX_HALFWIDTH * np.ones(dim),
-                       QSDP_BOX_HALFWIDTH * np.ones(dim))
     if validate and supplied_objective:
         objective.self_check((feasible_set.lo, feasible_set.hi))
     return ProblemInstance(

@@ -3,8 +3,8 @@
 Solves   min c'y   s.t.  A y <= b,  lo <= y <= hi   (entries of lo/hi may be
 infinite) by a textbook two-phase tableau simplex with Dantzig pricing and a
 Bland anti-cycling switch.  Problem sizes here are tiny, so exact dense
-pivoting is both simple and reliable.  The primal pivot loop lives in
-``_simplex_py``.
+pivoting is both simple and reliable.  The primal and dual pivot loops live
+in ``_simplex_py``, whose status strings this module reports.
 
 A Kelley loop solves a chain of masters, each one the previous master with
 a few cut rows appended.  Passing the previous result's ``state`` as
@@ -23,16 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _simplex_py
-
-_kernel = _simplex_py
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITER_LIMIT = "iter_limit"
-
-_PIVOT_TOL = 1e-10
+from . import _simplex_py as _kernel
+from ._simplex_py import (INFEASIBLE, ITER_LIMIT, OPTIMAL, PIVOT_TOL,
+                          UNBOUNDED)
 
 
 @dataclass
@@ -169,18 +162,17 @@ def _two_phase(A, b, c):
         for i in range(m):
             if basis[i] >= n + m:
                 T[m, :] -= T[i, :]
-        status, _ = _kernel.pivot_loop(T, basis, n + m + n_art, _PIVOT_TOL,
-                                       max_pivots)
-        if status == _simplex_py.ITER_LIMIT:
+        status, _ = _kernel.pivot_loop(T, basis, n + m + n_art, max_pivots)
+        if status == ITER_LIMIT:
             return ITER_LIMIT, None, None
         if -T[m, -1] > _feas_tol(b):
             return INFEASIBLE, None, None
         # Drive any lingering artificial out of the basis when possible.
         for i in range(m):
             if basis[i] >= n + m:
-                cols = np.nonzero(np.abs(T[i, :n + m]) > _PIVOT_TOL)[0]
+                cols = np.nonzero(np.abs(T[i, :n + m]) > PIVOT_TOL)[0]
                 if cols.size:
-                    _simplex_py._pivot(T, i, int(cols[0]))
+                    _kernel.pivot(T, i, int(cols[0]))
                     basis[i] = int(cols[0])
 
     # Phase 2 objective row, priced through the current basis.
@@ -191,11 +183,9 @@ def _two_phase(A, b, c):
         if bj < n and c[bj] != 0.0:
             T[m, :] -= c[bj] * T[i, :]
 
-    status, _ = _kernel.pivot_loop(T, basis, n + m, _PIVOT_TOL, max_pivots)
-    if status == _simplex_py.ITER_LIMIT:
-        return ITER_LIMIT, None, None
-    if status == _simplex_py.UNBOUNDED:
-        return UNBOUNDED, None, None
+    status, _ = _kernel.pivot_loop(T, basis, n + m, max_pivots)
+    if status != OPTIMAL:
+        return status, None, None
     if n_art:
         T = np.delete(T, np.s_[n + m:n + m + n_art], axis=1)
         basis = np.minimum(basis, n + m)
@@ -238,11 +228,11 @@ def _resolve(st: LpState, A, b):
     basis = np.concatenate([st.basis, np.arange(w, w + k)])
 
     max_pivots = 200 + 25 * (m + k + st.src.size)
-    status, _ = _dual_simplex(T, basis, max_pivots)
+    status, _ = _kernel.dual_loop(T, basis, max_pivots)
     if status != OPTIMAL:
         return None
-    status, _ = _kernel.pivot_loop(T, basis, w + k, _PIVOT_TOL, max_pivots)
-    if status != _simplex_py.OPTIMAL:
+    status, _ = _kernel.pivot_loop(T, basis, w + k, max_pivots)
+    if status != OPTIMAL:
         return None
     res = _result(LpState(st.c, A, b, st.lo, st.hi, T, basis, st.src,
                           st.sign, st.offsets), warmable=True)
@@ -250,26 +240,3 @@ def _resolve(st: LpState, A, b):
         return None
     return res
 
-
-def _dual_simplex(T, basis, max_pivots):
-    """Dual simplex on a tableau whose reduced costs are nonnegative.
-
-    Most negative right-hand side leaves; the entering column minimizes
-    reduced cost over minus the row entry.  Returns (status, pivots) with
-    status OPTIMAL once every right-hand side is nonnegative, INFEASIBLE
-    when a negative row has no negative entry, or ITER_LIMIT.
-    """
-    m = T.shape[0] - 1
-    for pivots in range(max_pivots):
-        row = int(np.argmin(T[:m, -1]))
-        if T[row, -1] >= -_PIVOT_TOL:
-            return OPTIMAL, pivots
-        entries = T[row, :-1]
-        cols = np.nonzero(entries < -_PIVOT_TOL)[0]
-        if cols.size == 0:
-            return INFEASIBLE, pivots
-        ratios = np.maximum(T[m, cols], 0.0) / -entries[cols]
-        col = int(cols[np.argmin(ratios)])
-        _simplex_py._pivot(T, row, col)
-        basis[row] = col
-    return ITER_LIMIT, max_pivots

@@ -15,17 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
-from .ccp import jsonl_records
+from .ccp import FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, jsonl_records
 from .cones import ConeElement, dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from .subproblem import build_penalized, recover_slack
 
 FIXED_POINT = "fixed_point"
 SMALL_MERIT_CHANGE = "small_merit_change"
-MAX_ITER = "max_iter"
-INNER_ITER_LIMIT = "inner_iter_limit"  # a subproblem left unsolved; no step taken
 
-FIXED_POINT_RTOL = 1e-9
 MERIT_SLACK = 1e-8
 INNER_TOL = 1e-9  # optimality tolerance of each penalized subproblem
 

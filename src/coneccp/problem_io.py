@@ -14,19 +14,20 @@ of a ``scalar_dc_polynomial`` file by
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .dc import ComponentwiseDcMatrix, ScalarDcFunction, quadratic_oracle
+from .dc import (ComponentwiseDcMatrix, ScalarDcFunction, quadratic_oracle,
+                 regularized_dc_decomposition)
 from .errors import SchemaError
 from .feasible import FeasibleSet
-from .library import (ProblemInstance, _poly_oracle, builtin,
-                      diagonal_componentwise, polynomial_constraint_map,
+from .library import (EXAMPLE29_G, EXAMPLE29_H, ProblemInstance,
+                      _poly_oracle, builtin, diagonal_componentwise,
+                      example29, polynomial_constraint_map,
                       polynomial_nonconvexity, quadratic_componentwise,
-                      quadratic_sdp)
+                      quadratic_hessian_bound, quadratic_matrix_map)
 
 KINDS = ("builtin", "quadratic_sdp", "scalar_dc_polynomial")
 
@@ -84,12 +85,9 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
     doc = _read_source(source)
     kind = doc.get("kind")
     if kind == "builtin" and doc.get("name") == "example29":
-        doc = {"kind": "scalar_dc_polynomial", "name": "example29",
-               "box": [[-10.0, 10.0]],
-               "objective": {"g0": [0.25, -1.0, 1.0], "h0": [0.0]},
-               "constraints": [{"G": [0.0, 0.0, 1.0],
-                                "H": [0.0, 0.0, 0.0, 0.0, 1.0]}]}
-        kind = "scalar_dc_polynomial"
+        inst = example29()
+        return (diagonal_componentwise([EXAMPLE29_G], [EXAMPLE29_H]),
+                inst.feasible_set, inst.name)
     with _schema_errors():
         if kind == "scalar_dc_polynomial":
             inst = _load_polynomial(doc)
@@ -219,22 +217,15 @@ def _load_quadratic(doc):
         h0=_psd_quadratic(_require(obj, "h0", dict, "objective"), d,
                           "objective.h0"),
         dim=d)
-    mu = doc["constraint"].get("mu")
-    inst = quadratic_sdp(C=C, B=B, A=A, objective=objective, mu=mu,
-                         validate=False)
-    # G and H add (mu/2)|x|^2 I, which must stay finite on the whole box
-    if mu is None:
-        mu = C.shape[0] * inst.known_facts["hessian_bound"]
-    radius2 = sum(max(lo * lo, hi * hi)
-                  for lo, hi in zip(fs.lo.tolist(), fs.hi.tolist()))
-    if not math.isfinite(0.5 * mu * radius2):
-        raise SchemaError(f"mu={mu!r} overflows (mu/2)|x|^2 on the box")
-    inst = ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
-                           objective=inst.objective,
-                           constraint=inst.constraint,
+    constraint = regularized_dc_decomposition(
+        quadratic_matrix_map(C, B, A),
+        hessian_bound=quadratic_hessian_bound(A),
+        mu=doc["constraint"].get("mu"), box=(fs.lo, fs.hi))
+    return ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
+                           objective=objective,
+                           constraint=constraint,
                            feasible_set=fs,
-                           known_facts=doc.get("known_facts", {}))
-    return inst, (C, B, A)
+                           known_facts=doc.get("known_facts", {})), (C, B, A)
 
 
 def _coeffs(raw, where):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import (ConeElement, eigenpairs, lambda_max_scalarize,
-                    positive_part, project_pos, inner)
+                    positive_part, inner)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
-from .errors import InvalidPenalty, OracleCheckError
+from .errors import InvalidPenalty
 from .feasible import FeasibleSet
 
 CONSTRAINED = "constrained"
@@ -29,9 +29,6 @@ EIG_ACTIVE_TOL = 1e-12
 # zero when recovering slacks, so exact penalty phases report slack zero
 # despite inner-solver roundoff.
 SLACK_ZERO_TOL = 1e-11
-# SubproblemSpec.self_check: midpoints drawn, relative tolerance of each gap
-SELF_CHECK_SAMPLES = 60
-SELF_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,6 @@ class LinearizedConstraint:
     h_base: ConeElement
     dh_base: ConeDerivative
     gmap: KConvexOracle
-    cone: object
     # (bytes of x, linearization, lambda_max_scalarize result, eigenpairs);
     # the last two are None until some caller needs them
     _memo: tuple = field(default=(None, None, None, None), init=False,
@@ -86,8 +82,12 @@ class LinearizedConstraint:
     def scalarized_subgrad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         sc = self._memoized(x, False)[1]
-        return (self.gmap.quad_form_subgrad(x, sc.block, sc.vector)
-                - self.dh_base.quad_form_grad(sc.block, sc.vector))
+        return self.quad_form_subgrad(x, sc.block, sc.vector)
+
+    def quad_form_subgrad(self, x, k, u) -> np.ndarray:
+        """A subgradient at x of u' [linearization(x)]_k u, block k."""
+        return (self.gmap.quad_form_subgrad(x, k, u)
+                - self.dh_base.quad_form_grad(k, u))
 
     def eigen(self, x) -> tuple[ConeElement, tuple]:
         """The linearization at x and its :func:`eigenpairs`, all read-only."""
@@ -112,21 +112,6 @@ class SubproblemSpec:
     constraint: LinearizedConstraint | None = None
     lin: LinearizedConstraint | None = None
 
-    def self_check(self, seed=0):
-        """Midpoint convexity sampling of the assembled objective; raises
-        :class:`OracleCheckError` on a midpoint above the chord."""
-        rng = np.random.default_rng(seed)
-        fs = self.feasible_set
-        for _ in range(SELF_CHECK_SAMPLES):
-            x = rng.uniform(fs.lo, fs.hi)
-            y = rng.uniform(fs.lo, fs.hi)
-            mid = 0.5 * (x + y)
-            gap = (0.5 * self.objective.value(x) + 0.5 * self.objective.value(y)
-                   - self.objective.value(mid))
-            if gap < -SELF_CHECK_TOL * (1.0 + abs(self.objective.value(mid))):
-                raise OracleCheckError(
-                    f"subproblem objective not convex: {gap}")
-
 
 def linearize_constraint(problem, x_n) -> LinearizedConstraint:
     x_n = np.asarray(x_n, dtype=float)
@@ -136,7 +121,6 @@ def linearize_constraint(problem, x_n) -> LinearizedConstraint:
         h_base=cmap.H.value(x_n),
         dh_base=cmap.H.derivative(x_n),
         gmap=cmap.G,
-        cone=cmap.cone,
     )
 
 
@@ -192,8 +176,7 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
         for k, w, vecs in lin.eigen(x)[1]:
             for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
                 u = vecs[:, idx]
-                out = out + tau * (lin.gmap.quad_form_subgrad(x, k, u)
-                                   - lin.dh_base.quad_form_grad(k, u))
+                out = out + tau * lin.quad_form_subgrad(x, k, u)
         return out
 
     return SubproblemSpec(
@@ -209,20 +192,15 @@ def recover_slack(spec: SubproblemSpec, x) -> ConeElement:
     """Minimal feasible slack at x: the positive part of the linearization.
 
     Tiny positive parts (inner-solver roundoff on an exactly active
-    constraint) are snapped to zero so that exact penalty phases are
-    recognizable by slack == 0.
+    constraint) are snapped to zero, along with the negative ones, so that
+    exact penalty phases are recognizable by slack == 0.  The eigenpairs
+    come through the linearization's memo, so at the inner solver's last
+    point they are the ones the penalized objective used.
     """
     if spec.mode != PENALIZED:
         raise ValueError("slack recovery applies to penalized subproblems")
-    y = spec.lin.value(x)
-    pos = project_pos(y)
+    y, pairs = spec.lin.eigen(x)
     cut = SLACK_ZERO_TOL * (1.0 + y.norm())
-    blocks = []
-    for b in pos.blocks:
-        if b.ndim == 2:
-            w, vecs = np.linalg.eigh(b)
-            w = np.where(w <= cut, 0.0, w)
-            blocks.append((vecs * w) @ vecs.T)
-        else:
-            blocks.append(np.where(b <= cut, 0.0, b))
-    return pos._like(blocks)
+    return y._like((v * np.where(w <= cut, 0.0, w)) @ v.T if a.ndim == 2
+                   else np.where(w <= cut, 0.0, w)
+                   for a, (_, w, v) in zip(y.blocks, pairs))

@@ -57,10 +57,7 @@ class TestInvariants:
             run_ccp(example29(), [2.0])
 
     def test_inner_iteration_limit_ends_the_run(self, monkeypatch):
-        # solve_convex binds MAX_CUTS as a default, so wrap the function
-        real = inner.solve_convex
-        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
-                            real(spec, **kwargs, max_cuts=3))
+        monkeypatch.setattr(inner, "MAX_CUTS", 3)
         p = quadratic_sdp(2)
         x0 = p.known_facts["strictly_feasible_point"]
         tr = run_ccp(p, x0)

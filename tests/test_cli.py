@@ -70,9 +70,7 @@ class TestSolveCommands:
         assert code in (2, 4)
 
     def test_inner_iteration_limit_exit_code(self, capsys, monkeypatch):
-        real = inner.solve_convex
-        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
-                            real(spec, **kwargs, max_cuts=2))
+        monkeypatch.setattr(inner, "MAX_CUTS", 2)
         small = str(DOCS / "quadratic_sdp_small.json")
         for algorithm in ("ccp", "penalty-ccp"):
             code, out, _ = run_cli(capsys, "solve", algorithm, "--problem",
@@ -325,8 +323,11 @@ class TestProblemFiles:
         (("cone", "psd"), True, "cone.psd must be a positive integer"),
         (("cone", "psd"), 2.5, "cone.psd must be a positive integer"),
         (("cone", "psd"), 0, "cone.psd must be a positive integer"),
-        # finite and above the threshold, but (mu/2)|x|^2 overflows on the box
-        (("constraint", "mu"), 1e308, "overflows (mu/2)|x|^2 on the box"),
+        # finite and above the threshold, but so large that F rounds away in
+        # G = F + (mu/2)|x|^2 I; at 1e308 (mu/2)|x|^2 also overflows
+        (("constraint", "mu"), 1e308, "rounds F away on the box"),
+        (("constraint", "mu"), 1e17, "rounds F away on the box"),
+        (("constraint", "mu"), 1e306, "rounds F away on the box"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_malformed_numbers_exit_3(self, capsys, no_sampling, path, value,

@@ -35,9 +35,10 @@ class TestAgainstProjectedGradient:
             q = rng.normal(size=d)
             lo = rng.uniform(-2.0, -0.5, d)
             hi = rng.uniform(0.5, 2.0, d)
-            rep = inner.solve_convex(bare_spec(quadratic_oracle(Q, q),
-                                               box(lo, hi)),
-                                     force_general=(d == 1 and trial % 2 == 0))
+            spec = bare_spec(quadratic_oracle(Q, q), box(lo, hi))
+            # half the one-dimensional trials take the general path
+            rep = (inner._solve_general(spec, 1e-8) if d == 1 and trial % 2 == 0
+                   else inner.solve_convex(spec))
             x_pg, f_pg = projected_gradient(Q, q, lo, hi)
             assert rep.status == inner.OPTIMAL
             assert abs(rep.objective_value - f_pg) <= 1e-6
@@ -68,11 +69,12 @@ class TestGeneralPath:
                                match="lower bound decreased"):
                 run()
 
-    def test_iter_limit_status(self):
+    def test_iter_limit_status(self, monkeypatch):
+        monkeypatch.setattr(inner, "MAX_CUTS", 4)
         Q = np.array([[2.0, 0.0], [0.0, 1.0]])
         rep = inner.solve_convex(bare_spec(quadratic_oracle(Q, np.array([1.0, 1.0])),
                                            box([-1, -1], [1, 1])),
-                                 tol=1e-14, max_cuts=4)
+                                 tol=1e-14)
         assert rep.status == inner.ITER_LIMIT
 
     def test_nonsmooth_objective(self):
@@ -136,7 +138,7 @@ class TestPathsAgree:
             v = p.objective.h0.subgrad(np.array([z]))
             spec = build_constrained(p, np.array([z]), v)
             r1 = inner.solve_convex(spec)
-            r2 = inner.solve_convex(spec, force_general=True)
+            r2 = inner._solve_general(spec, 1e-8)
             assert abs(r1.objective_value - r2.objective_value) <= 2e-8
             assert abs(r1.x_hat[0] - r2.x_hat[0]) <= 1e-3
 
@@ -161,7 +163,8 @@ class TestInfeasibility:
             analytic = z ** 4 * (3.0 - 4.0 * z * z)
             for force in (False, True):
                 added = 0
-                rep = inner.solve_convex(spec, force_general=force)
+                rep = (inner._solve_general(spec, 1e-8) if force
+                       else inner.solve_convex(spec))
                 assert rep.status == inner.INFEASIBLE
                 assert rep.certificate > 0.0
                 assert rep.certificate == pytest.approx(analytic, abs=1e-6)

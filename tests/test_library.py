@@ -120,6 +120,26 @@ class TestQuadraticSdp:
         with pytest.raises(BoundTooSmall):
             regularized_dc_decomposition(smooth, hessian_bound=2.0, mu=3.0)
 
+    def test_mu_that_rounds_the_map_away_rejected(self):
+        # on [-2, 2] the rounding eps * (mu/2) * 4 reaches 1e-8 at mu of
+        # about 2.25e7; without a box there is nothing to check against
+        from coneccp.dc import regularized_dc_decomposition
+        smooth = quadratic_matrix_map(-np.eye(2), np.zeros((1, 2, 2)),
+                                      np.array([[np.eye(2)]]))
+        box1 = (np.array([-2.0]), np.array([2.0]))
+        regularized_dc_decomposition(smooth, hessian_bound=1.0, mu=2e7,
+                                     box=box1)
+        regularized_dc_decomposition(smooth, hessian_bound=1.0, mu=3e7)
+        with pytest.raises(ValueError, match="rounds F away on the box"):
+            regularized_dc_decomposition(smooth, hessian_bound=1.0, mu=3e7,
+                                         box=box1)
+        with pytest.raises(ValueError, match="rounds F away on the box"):
+            quadratic_sdp(7, mu=1e308)
+
+    def test_rounding_tolerance_is_the_inner_feasibility_tolerance(self):
+        from coneccp import dc, inner
+        assert dc.REGULARIZER_ROUNDING_TOL == inner.TOL_FEAS
+
 
 class TestStiefel:
     def test_scalar_case_feasible_points(self):

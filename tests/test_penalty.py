@@ -204,10 +204,7 @@ class TestInvariants:
                             PenaltyConfig(**REFERENCE_CFG))
 
     def test_inner_iteration_limit_ends_the_run(self, monkeypatch):
-        # solve_convex binds MAX_CUTS as a default, so wrap the function
-        real = inner.solve_convex
-        monkeypatch.setattr(inner, "solve_convex", lambda spec, **kwargs:
-                            real(spec, **kwargs, max_cuts=2))
+        monkeypatch.setattr(inner, "MAX_CUTS", 2)
         p = quadratic_sdp(9)
         x0 = np.array([2.0, -2.0])
         tr = run_penalty_ccp(p, x0, PenaltyConfig(**REFERENCE_CFG))

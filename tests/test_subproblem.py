@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from coneccp import inner
 from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
-from coneccp.dc import (ConeDcMap, ConeDerivative, ConvexOracle,
-                        KConvexOracle, ScalarDcFunction, SmoothKConvexOracle,
+from coneccp.dc import (ConeDcMap, ConeDerivative, KConvexOracle,
+                        ScalarDcFunction, SmoothKConvexOracle,
                         quadratic_oracle)
-from coneccp.errors import InvalidPenalty, OracleCheckError
+from coneccp.errors import InvalidPenalty
 from coneccp.feasible import box
 from coneccp.library import ProblemInstance, example29, quadratic_sdp, stiefel
-from coneccp.subproblem import (PENALIZED, SubproblemSpec, build_constrained,
-                                build_penalized, linearize_constraint,
-                                recover_slack)
+from coneccp.subproblem import (build_constrained, build_penalized,
+                                linearize_constraint, recover_slack)
 
 from oracles import constrained_reference, penalized_reference
 
@@ -49,14 +48,15 @@ class TestConstrainedGeometry:
         assert rep.status == inner.OPTIMAL
         assert rep.x_hat[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_interval_and_minimizer_at_base_two(self):
+    def test_interval_and_minimizer_at_base_two(self, monkeypatch):
         a, b = interval_oracle(2.0)
         assert a == pytest.approx(16.0 - np.sqrt(208.0), abs=1e-12)
         assert b == pytest.approx(16.0 + np.sqrt(208.0), abs=1e-12)
         p = example29()
         spec = build_constrained(p, np.array([2.0]),
                                  p.objective.h0.subgrad(np.array([2.0])))
-        rep = inner.solve_convex(spec, tol_feas=1e-10)
+        monkeypatch.setattr(inner, "TOL_FEAS", 1e-10)
+        rep = inner.solve_convex(spec)
         assert rep.x_hat[0] == pytest.approx(a, abs=1e-6)
         # endpoints of the linearized region are exactly on the boundary
         lin = spec.lin
@@ -167,19 +167,19 @@ class TestOuterApproximation:
             assert lam_f <= lam_lin + 1e-9 * (1.0 + abs(lam_lin))
 
     def test_subproblem_objective_midpoint_convex(self):
+        # no midpoint of the built objectives lies above its chord
         p = quadratic_sdp(5)
         base = np.array([0.2, -0.4])
         v = p.objective.h0.subgrad(base)
-        build_penalized(p, base, v, 2.0).self_check(seed=0)
-        build_constrained(p, base, v).self_check(seed=1)
-
-    def test_concave_objective_fails_the_self_check(self):
-        concave = ConvexOracle(lambda x: -float(x @ x), lambda x: -2.0 * x)
-        spec = SubproblemSpec(objective=concave,
-                              feasible_set=box([-1.0, -1.0], [1.0, 1.0]),
-                              mode=PENALIZED)
-        with pytest.raises(OracleCheckError, match="not convex"):
-            spec.self_check()
+        fs = p.feasible_set
+        for seed, spec in enumerate((build_penalized(p, base, v, 2.0),
+                                     build_constrained(p, base, v))):
+            f = spec.objective.value
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                x, y = rng.uniform(fs.lo, fs.hi), rng.uniform(fs.lo, fs.hi)
+                mid = f(0.5 * (x + y))
+                assert mid <= 0.5 * (f(x) + f(y)) + 1e-9 * (1.0 + abs(mid))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +313,10 @@ def test_one_eigh_per_psd_block_per_visited_point(make, psd_blocks,
     x = 0.1 * fs.lo
     # one constrained Kelley visit: objective and constraint, value and
     # subgradient, two cuts, then the cut limit ends the loop
+    monkeypatch.setattr(inner, "MAX_CUTS", 2)
     con = build_constrained(problem, x_n, v_n)
     run = inner._kelley_min(con.objective.value, con.objective.subgrad, fs,
-                            1e-9, 2, seeds=[x], constraint=con.constraint,
-                            tol_feas=inner.TOL_FEAS)
+                            1e-9, seeds=[x], constraint=con.constraint)
     assert run.cuts == 2
     assert len(calls) == psd_blocks
     # the penalized value and subgradient at one point share their eigh
