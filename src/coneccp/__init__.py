@@ -10,7 +10,7 @@ penalty variant for programs of the form
 plus criticality/KKT certificates and a small problem library.
 """
 
-from .ccp import CcpConfig, IterationTrace, check_strong_descent, run_ccp
+from .ccp import CcpConfig, Record, Trace, check_strong_descent, run_ccp
 from .certificates import (CriticalityCertificate, KktResiduals, certify,
                            criticality_residual,
                            generalized_criticality_residual, infeasibility,
@@ -33,7 +33,7 @@ from .feasible import FeasibleSet, box
 from .inner import SlaterProbe, SolveReport, slater_probe, solve_convex
 from .library import (ProblemInstance, builtin, example29, quadratic_sdp,
                       random_componentwise_dc, stiefel, with_strong_convexity)
-from .penalty import (PenaltyConfig, PenaltyTrace, check_merit_decrease,
+from .penalty import (PenaltyConfig, check_merit_decrease,
                       detect_feasible_handoff, run_penalty_ccp)
 from .problem_io import load_problem
 from .subproblem import (LinearizedConstraint, SubproblemSpec,

@@ -7,6 +7,10 @@ concave objective part is strongly convex.  Runtime checks enforce what the
 theory guarantees along the way: every iterate stays feasible and the
 objective strictly decreases until termination.
 
+Both this loop and the penalty loop of :mod:`coneccp.penalty` return a
+:class:`Trace` of :class:`Record` rows, one per iterate; the penalty fields of
+a record (slack, its norm, penalty scale and merit) are None on a CCP run.
+
 Runs are single threaded and deterministic given the oracles; independent
 runs may proceed concurrently.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
-from .cones import dist_to_neg_cone
+from .cones import ConeElement, dist_to_neg_cone
 from .errors import (ConeCcpError, InfeasibleStart, InvariantViolation,
                      SubproblemInfeasible)
 from .subproblem import build_constrained
@@ -35,6 +39,14 @@ FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
 DESCENT_SLACK = 1e-8
 
 
+def check_max_iter(max_iter) -> None:
+    """Reject an outer iteration limit that is not a nonnegative integer."""
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, int)
+            or max_iter < 0):
+        raise ConeCcpError(
+            f"max_iter must be a nonnegative integer, got {max_iter!r}")
+
+
 @dataclass
 class CcpConfig:
     eps_f: float = 1e-8
@@ -44,21 +56,33 @@ class CcpConfig:
     def __post_init__(self):
         if not (self.eps_f > 0 and self.eps_x > 0):
             raise ConeCcpError("eps_f and eps_x must be positive")
+        check_max_iter(self.max_iter)
 
 
 @dataclass
-class CcpRecord:
+class Record:
+    """One iterate of a CCP or penalty run.
+
+    ``s``, ``s_norm``, ``tau`` and ``merit`` (the slack, its norm, the
+    penalty scale and f0 + <tau e, s>) are None on a CCP run.
+    """
+
     n: int
     x: np.ndarray
     f0: float
     infeas: float
-    v: np.ndarray | None = None
     subproblem_status: str = "initial"
+    s: ConeElement | None = None
+    s_norm: float | None = None
+    tau: float | None = None
+    merit: float | None = None
 
 
 @dataclass
-class IterationTrace:
-    records: list[CcpRecord] = field(default_factory=list)
+class Trace:
+    """The records of one run, one per iterate, and why the run stopped."""
+
+    records: list[Record] = field(default_factory=list)
     termination: str = MAX_ITER
 
     @property
@@ -70,24 +94,18 @@ class IterationTrace:
         return len(self.records) - 1
 
     def jsonl_records(self) -> list[dict]:
-        return jsonl_records(self)
+        """One JSONL row per record; the last row's status is the
+        termination reason."""
+        last = len(self.records) - 1
+        return [{"n": r.n, "x": [float(c) for c in r.x], "f0": r.f0,
+                 "infeas": r.infeas, "s_norm": r.s_norm, "tau": r.tau,
+                 "merit": r.merit,
+                 "status": self.termination if k == last
+                 else r.subproblem_status}
+                for k, r in enumerate(self.records)]
 
 
-def jsonl_records(trace) -> list[dict]:
-    """One JSONL row per record of a CCP or penalty trace.
-
-    The last row's status is the termination reason.  CCP records carry no
-    slack, penalty or merit, so their rows hold null there.
-    """
-    last = len(trace.records) - 1
-    return [{"n": r.n, "x": [float(c) for c in r.x], "f0": r.f0,
-             "infeas": r.infeas, "s_norm": getattr(r, "s_norm", None),
-             "tau": getattr(r, "tau", None), "merit": getattr(r, "merit", None),
-             "status": trace.termination if k == last else r.subproblem_status}
-            for k, r in enumerate(trace.records)]
-
-
-def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
+def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
     """Run the convex-concave procedure from a feasible point.
 
     Raises :class:`InfeasibleStart` when x0 is outside the set or violates
@@ -107,11 +125,10 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
             f"x0 violates the cone constraint by {infeas0:.3e}")
 
     f = problem.objective.f0(x)
-    trace = IterationTrace([CcpRecord(0, x, f, infeas0)])
+    trace = Trace([Record(0, x, f, infeas0)])
     mu = problem.objective.strong_convexity_of_h
     for n in range(cfg.max_iter):
         v = problem.objective.h0.subgrad(x)
-        trace.records[-1].v = v
         spec = build_constrained(problem, x, v)
         # subproblems are solved ten times tighter than the stopping rule
         rep = inner.solve_convex(spec, tol=cfg.eps_f / 10.0, feasible_hint=x)
@@ -125,8 +142,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
         f_new = problem.objective.f0(x_new)
         infeas_new = dist_to_neg_cone(problem.constraint.value(x_new))
         trace.records.append(
-            CcpRecord(n + 1, x_new, f_new, infeas_new,
-                      subproblem_status=rep.status))
+            Record(n + 1, x_new, f_new, infeas_new, rep.status))
         if infeas_new > 1e-7:
             raise InvariantViolation(
                 f"iterate infeasibility {infeas_new:.3e} exceeds 1e-7")
@@ -146,11 +162,10 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> IterationTrace:
             break
     else:
         trace.termination = MAX_ITER
-    trace.records[-1].v = problem.objective.h0.subgrad(x)
     return trace
 
 
-def check_strong_descent(trace: IterationTrace, mu: float) -> bool:
+def check_strong_descent(trace: Trace, mu: float) -> bool:
     """Whether every step decreased f0 by at least (mu/2) step-size squared."""
     recs = trace.records
     for a, b in zip(recs, recs[1:]):

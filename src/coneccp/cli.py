@@ -161,33 +161,27 @@ def _write_trace(path, records):
 def _cmd_solve(args) -> int:
     problem = _load(args)
     x0 = _parse_x0(args.x0)
+    # the configs' own default applies only when --max-iter is absent
+    iters = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.algorithm == "ccp":
-        cfg = ccp.CcpConfig(eps_f=args.tol,
-                            max_iter=args.max_iter or 500)
-        trace = ccp.run_ccp(problem, x0, cfg)
-        report = {
-            "problem": problem.name, "algorithm": "ccp",
-            "termination": trace.termination,
-            "iterations": trace.iterations,
-            "x": [float(c) for c in trace.final_x],
-            "f0": trace.records[-1].f0,
-            "infeas": trace.records[-1].infeas,
-        }
+        trace = ccp.run_ccp(problem, x0,
+                            ccp.CcpConfig(eps_f=args.tol, **iters))
     else:
         cfg = penalty.PenaltyConfig(tau0=args.tau0, mu=args.mu,
                                     kappa=args.kappa, tau_max=args.tau_max,
-                                    eps_merit=args.tol,
-                                    max_iter=args.max_iter or 1000)
+                                    eps_merit=args.tol, **iters)
         trace = penalty.run_penalty_ccp(problem, x0, cfg)
-        last = trace.records[-1]
-        report = {
-            "problem": problem.name, "algorithm": "penalty_ccp",
-            "termination": trace.termination,
-            "iterations": trace.iterations,
-            "x": [float(c) for c in trace.final_x],
-            "f0": last.f0, "infeas": last.infeas,
-            "s_norm": last.s_norm, "tau": last.tau, "merit": last.merit,
-        }
+    last = trace.records[-1]
+    report = {
+        "problem": problem.name,
+        "algorithm": args.algorithm.replace("-", "_"),
+        "termination": trace.termination,
+        "iterations": trace.iterations,
+        "x": [float(c) for c in trace.final_x],
+        "f0": last.f0, "infeas": last.infeas,
+    }
+    if last.tau is not None:
+        report.update(s_norm=last.s_norm, tau=last.tau, merit=last.merit)
     limit = trace.termination in (ccp.MAX_ITER, ccp.INNER_ITER_LIMIT)
     if args.trace:
         _write_trace(args.trace, trace.jsonl_records())

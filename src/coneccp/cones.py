@@ -53,13 +53,18 @@ class Cone:
         raise NotImplementedError
 
 
+def _check_size(size, what):
+    """Reject a cone size that is not a positive int (bools included)."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise InvalidElement(f"{what} must be a positive integer, got {size!r}")
+
+
 @dataclass(frozen=True)
 class PsdCone(Cone):
     order: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidElement(f"psd cone order must be >= 1, got {self.order}")
+        _check_size(self.order, "psd cone order")
 
     def leaves(self):
         return (self,)
@@ -77,8 +82,7 @@ class Orthant(Cone):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidElement(f"orthant dimension must be >= 1, got {self.dim}")
+        _check_size(self.dim, "orthant dimension")
 
     def leaves(self):
         return (self,)
@@ -120,9 +124,9 @@ def cone_from_descriptor(desc: dict) -> Cone:
         raise InvalidElement(f"bad cone descriptor: {desc!r}")
     (kind, arg), = desc.items()
     if kind == "psd":
-        return PsdCone(int(arg))
+        return PsdCone(arg)
     if kind == "orthant":
-        return Orthant(int(arg))
+        return Orthant(arg)
     if kind == "product":
         return ProductCone(tuple(cone_from_descriptor(d) for d in arg))
     raise InvalidElement(f"unknown cone kind: {kind!r}")

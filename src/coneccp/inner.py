@@ -32,7 +32,7 @@ import numpy as np
 from . import lp
 from .errors import InvariantViolation
 from .feasible import FeasibleSet
-from .subproblem import CONSTRAINED, LinearizedConstraint, SubproblemSpec
+from .subproblem import LinearizedConstraint, SubproblemSpec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -48,7 +48,6 @@ _BISECT_ITERS = 200  # steps of a 1-D search, and the halvings of its width
 class SolveReport:
     x_hat: np.ndarray | None
     objective_value: float
-    constraint_violation: float
     gap_bound: float
     status: str
     certificate: float | None = None  # positive lower bound when infeasible
@@ -152,7 +151,6 @@ class _KelleyRun(NamedTuple):
     lower_bound: float
     status: str
     cuts: int
-    violation: float
     points: list  # every point cut at, in order
 
 
@@ -168,7 +166,7 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
     """
     master = _Master(fs)
     points: list[np.ndarray] = []
-    best = None  # (value, x, violation)
+    best = None  # (value, x)
 
     def visit(x):
         nonlocal best
@@ -180,7 +178,7 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
             master.cut(cv, constraint.scalarized_subgrad(x), x, epigraph=False)
         points.append(x)
         if cv <= TOL_FEAS and (best is None or f < best[0]):
-            best = (f, x, max(cv, 0.0))
+            best = (f, x)
 
     for s in seeds:
         visit(np.asarray(s, dtype=float))
@@ -205,8 +203,8 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
         if best is not None and best[0] - lb <= tol:
             status = OPTIMAL
             break
-    f, x, viol = best if best is not None else (np.inf, None, np.inf)
-    return _KelleyRun(x, f, lb, status, master.cuts, viol, points)
+    f, x = best if best is not None else (np.inf, None)
+    return _KelleyRun(x, f, lb, status, master.cuts, points)
 
 
 def _solve_general(spec, tol, feasible_hint=None):
@@ -216,7 +214,7 @@ def _solve_general(spec, tol, feasible_hint=None):
     run = _kelley_min(spec.objective.value, spec.objective.subgrad, fs, tol,
                       [seed], constraint=con)
     if run.status != INFEASIBLE and run.x is not None:
-        return SolveReport(run.x, run.value, run.violation,
+        return SolveReport(run.x, run.value,
                            max(run.value - run.lower_bound, 0.0), run.status,
                            cuts=run.cuts)
     if con is None:
@@ -232,9 +230,9 @@ def _solve_general(spec, tol, feasible_hint=None):
     if cert.value <= TOL_FEAS:
         # The constraint minimum is attainable after all; report the point
         # as a feasible incumbent with unknown gap rather than mislabeling.
-        return SolveReport(cert.x, spec.objective.value(cert.x),
-                           max(cert.value, 0.0), np.inf, ITER_LIMIT, cuts=cuts)
-    return SolveReport(None, np.nan, cert.value, np.nan, INFEASIBLE,
+        return SolveReport(cert.x, spec.objective.value(cert.x), np.inf,
+                           ITER_LIMIT, cuts=cuts)
+    return SolveReport(None, np.nan, np.nan, INFEASIBLE,
                        certificate=cert.lower_bound, cuts=cuts)
 
 
@@ -353,30 +351,26 @@ def _solve_1d(spec: SubproblemSpec) -> SolveReport:
     then the two ends of {constraint <= 0} around it, then the objective's
     minimum between them."""
     lo, hi, empty = _bounds_1d(spec.feasible_set)
-    obj = _scalar(spec.objective.value, spec.objective.subgrad)
     if empty:
-        return SolveReport(None, np.nan, np.inf, np.nan, INFEASIBLE,
+        return SolveReport(None, np.nan, np.nan, INFEASIBLE,
                            certificate=np.inf)
 
-    if spec.mode == CONSTRAINED:
-        con = spec.constraint
+    a, b = lo, hi
+    con = spec.constraint
+    if con is not None:
         phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
         x_min, phi_min, phi_lb = _bisect_min(phi, dphi, lo, hi)
         if phi_min > TOL_FEAS:
-            return SolveReport(None, np.nan, phi_min, np.nan, INFEASIBLE,
+            return SolveReport(None, np.nan, np.nan, INFEASIBLE,
                                certificate=max(phi_lb, 0.0))
         if phi_min > 0.0:
             a = b = x_min
         else:
             a = _bisect_root(phi, lo, x_min, phi_min)
             b = _bisect_root(phi, hi, x_min, phi_min)
-        x, fx, lbv = _bisect_min(*obj, a, b)
-        viol = max(phi(x), 0.0)
-        return SolveReport(np.array([x]), fx, viol, max(fx - lbv, 0.0),
-                           OPTIMAL)
-
-    x, fx, lbv = _bisect_min(*obj, lo, hi)
-    return SolveReport(np.array([x]), fx, 0.0, max(fx - lbv, 0.0), OPTIMAL)
+    x, fx, lbv = _bisect_min(
+        *_scalar(spec.objective.value, spec.objective.subgrad), a, b)
+    return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)
 
 
 def _bisect_root(phi, outside, inside, phi_in):

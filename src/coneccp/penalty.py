@@ -5,18 +5,21 @@ ray tau * e along the cone identity.  The slack is eliminated in closed form
 inside the subproblem; each outer step recovers it, applies the penalty
 update (grow by a fixed factor while the slack norm exceeds the infeasibility
 tolerance and the cap allows), and monitors the merit f0 + <t, s>, which
-cannot increase while the penalty is held fixed.
+cannot increase while the penalty is held fixed.  The run returns the same
+:class:`~coneccp.ccp.Trace` of :class:`~coneccp.ccp.Record` rows as the plain
+CCP, with the slack, its norm, the penalty scale and the merit filled in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import inner
-from .ccp import FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, jsonl_records
-from .cones import ConeElement, dist_to_neg_cone, inner as cone_inner, project_pos
+from .ccp import (FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, Record, Trace,
+                  check_max_iter)
+from .cones import dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from .subproblem import build_penalized, recover_slack
 
@@ -43,37 +46,7 @@ class PenaltyConfig:
             raise ConeCcpError("penalty growth factor must exceed 1")
         if self.kappa < 0 or not self.tau_max > 0:
             raise ConeCcpError("kappa must be >= 0 and tau_max positive")
-
-
-@dataclass
-class PenaltyRecord:
-    n: int
-    x: np.ndarray
-    s: ConeElement
-    s_norm: float
-    tau: float
-    f0: float
-    merit: float
-    infeas: float
-    subproblem_status: str = "initial"
-
-
-@dataclass
-class PenaltyTrace:
-    records: list[PenaltyRecord] = field(default_factory=list)
-    termination: str = MAX_ITER
-    e_norm: float = 1.0
-
-    @property
-    def final_x(self) -> np.ndarray:
-        return self.records[-1].x
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records) - 1
-
-    def jsonl_records(self) -> list[dict]:
-        return jsonl_records(self)
+        check_max_iter(self.max_iter)
 
 
 def _penalty_update(tau, s_norm, cfg: PenaltyConfig, e_norm: float) -> float:
@@ -87,7 +60,7 @@ def _penalty_update(tau, s_norm, cfg: PenaltyConfig, e_norm: float) -> float:
     return tau
 
 
-def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
+def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     """Run the penalty CCP from any point of the set (feasibility not required).
 
     A subproblem the inner solver leaves at its iteration limit ends the run
@@ -101,13 +74,12 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
     e_norm = identity.norm()
 
     # The minimal feasible slack at x0 seeds the merit record.
-    s = project_pos(problem.constraint.value(x))
+    y = problem.constraint.value(x)
+    s = project_pos(y)
     tau = float(cfg.tau0)
     f = problem.objective.f0(x)
-    trace = PenaltyTrace(e_norm=e_norm)
-    trace.records.append(PenaltyRecord(
-        0, x, s, s.norm(), tau, f, f + tau * cone_inner(identity, s),
-        dist_to_neg_cone(problem.constraint.value(x))))
+    trace = Trace([Record(0, x, f, dist_to_neg_cone(y), s=s, s_norm=s.norm(),
+                          tau=tau, merit=f + tau * cone_inner(identity, s))])
 
     for n in range(cfg.max_iter):
         v = problem.objective.h0.subgrad(x)
@@ -133,11 +105,11 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
         # The stop test precedes the penalty update.
         tau_next = tau if fixed else _penalty_update(tau, s_new_norm, cfg,
                                                      e_norm)
-        trace.records.append(PenaltyRecord(
-            n + 1, x_new, s_new, s_new_norm, tau_next, f_new,
-            f_new + tau_next * cone_inner(identity, s_new),
-            dist_to_neg_cone(problem.constraint.value(x_new)),
-            rep.status))
+        trace.records.append(Record(
+            n + 1, x_new, f_new,
+            dist_to_neg_cone(problem.constraint.value(x_new)), rep.status,
+            s=s_new, s_norm=s_new_norm, tau=tau_next,
+            merit=f_new + tau_next * cone_inner(identity, s_new)))
         x, s, f = x_new, s_new, f_new
         if fixed:
             trace.termination = FIXED_POINT
@@ -152,7 +124,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> PenaltyTrace:
     return trace
 
 
-def check_merit_decrease(trace: PenaltyTrace) -> bool:
+def check_merit_decrease(trace: Trace) -> bool:
     """Whether f0 + <t_n, s> did not increase across any step.
 
     Both sides of each comparison use the penalty in force at step n (not the
@@ -170,7 +142,7 @@ def check_merit_decrease(trace: PenaltyTrace) -> bool:
     return True
 
 
-def detect_feasible_handoff(trace: PenaltyTrace, tol_feas=1e-8) -> int | None:
+def detect_feasible_handoff(trace: Trace, tol_feas=1e-8) -> int | None:
     """Smallest index from which every recorded slack norm stays below tol.
 
     From that point on the run is feasible and behaves like the plain CCP

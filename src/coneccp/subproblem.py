@@ -19,9 +19,6 @@ from .dc import ConeDerivative, ConvexOracle, KConvexOracle
 from .errors import InvalidPenalty
 from .feasible import FeasibleSet
 
-CONSTRAINED = "constrained"
-PENALIZED = "penalized"
-
 # Eigenvalues inside [-EIG_ACTIVE_TOL, EIG_ACTIVE_TOL] contribute nothing to
 # slack-cost subgradients (a valid selection on the boundary).
 EIG_ACTIVE_TOL = 1e-12
@@ -101,14 +98,14 @@ class SubproblemSpec:
 
     ``objective`` is g0(x) - <v, x - x_n>, with the closed-form slack cost
     added in penalized mode.  ``constraint`` is the scalarized linearization
-    (absent in penalized mode).  Immutable: the linearization caches H(x_n)
-    and DH(x_n) at build time; its only changing state is the memo of the
-    last point asked.
+    in constrained mode; a spec without one is penalized (or has no cone
+    constraint at all).  ``lin`` is the linearization in either mode.
+    Immutable: the linearization caches H(x_n) and DH(x_n) at build time;
+    its only changing state is the memo of the last point asked.
     """
 
     objective: ConvexOracle
     feasible_set: FeasibleSet
-    mode: str
     constraint: LinearizedConstraint | None = None
     lin: LinearizedConstraint | None = None
 
@@ -146,7 +143,6 @@ def build_constrained(problem, x_n, v_n) -> SubproblemSpec:
         objective=_shifted_objective(problem, x_n, v_n),
         constraint=lin,
         feasible_set=problem.feasible_set,
-        mode=CONSTRAINED,
         lin=lin,
     )
 
@@ -183,7 +179,6 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
         objective=ConvexOracle(value, subgrad),
         constraint=None,
         feasible_set=problem.feasible_set,
-        mode=PENALIZED,
         lin=lin,
     )
 
@@ -197,7 +192,7 @@ def recover_slack(spec: SubproblemSpec, x) -> ConeElement:
     come through the linearization's memo, so at the inner solver's last
     point they are the ones the penalized objective used.
     """
-    if spec.mode != PENALIZED:
+    if spec.constraint is not None:
         raise ValueError("slack recovery applies to penalized subproblems")
     y, pairs = spec.lin.eigen(x)
     cut = SLACK_ZERO_TOL * (1.0 + y.norm())

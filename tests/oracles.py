@@ -27,11 +27,12 @@ def replay_step4(trace, cfg):
     from coneccp.penalty import FIXED_POINT, _penalty_update
 
     recs = trace.records
+    e_norm = recs[0].s.cone.identity().norm()
     for a, b in zip(recs, recs[1:]):
         if b is recs[-1] and trace.termination == FIXED_POINT:
             expect = a.tau  # the stop test precedes the update
         else:
-            expect = _penalty_update(a.tau, b.s_norm, cfg, trace.e_norm)
+            expect = _penalty_update(a.tau, b.s_norm, cfg, e_norm)
         if b.tau != expect:
             return False
     return True

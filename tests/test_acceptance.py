@@ -22,7 +22,7 @@ from coneccp.library import (example29, nonconvex_witness, quadratic_sdp,
                              stiefel11_builtin, with_strong_convexity)
 from coneccp.penalty import (PenaltyConfig, check_merit_decrease,
                              run_penalty_ccp)
-from coneccp.subproblem import PENALIZED, SubproblemSpec
+from coneccp.subproblem import SubproblemSpec
 
 from oracles import projected_gradient, replay_step4
 
@@ -270,7 +270,7 @@ def test_criterion_9_inner_solver_equivalence():
             lo = rng.uniform(-2.0, -0.5, d)
             hi = rng.uniform(0.5, 2.0, d)
             spec = SubproblemSpec(objective=quadratic_oracle(Q, q),
-                                  feasible_set=box(lo, hi), mode=PENALIZED)
+                                  feasible_set=box(lo, hi))
             rep = inner.solve_convex(spec)
             _, f_pg = projected_gradient(Q, q, lo, hi)
             assert rep.status == inner.OPTIMAL

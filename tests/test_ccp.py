@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coneccp import ccp, inner
-from coneccp.ccp import (CcpConfig, IterationTrace, check_strong_descent,
-                         run_ccp)
+from coneccp.ccp import CcpConfig, Trace, check_strong_descent, run_ccp
 from coneccp.certificates import criticality_residual
 from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.library import example29, quadratic_sdp, with_strong_convexity
@@ -49,8 +48,7 @@ class TestGoldenRuns:
 class TestInvariants:
     def test_objective_increase_raises(self, monkeypatch):
         # a subproblem "solution" at x = 3, feasible but with f0 above f0(2)
-        worse = inner.SolveReport(np.array([3.0]), 0.0, 0.0, 0.0,
-                                  inner.OPTIMAL)
+        worse = inner.SolveReport(np.array([3.0]), 0.0, 0.0, inner.OPTIMAL)
         monkeypatch.setattr(inner, "solve_convex",
                             lambda spec, **kwargs: worse)
         with pytest.raises(InvariantViolation, match="objective increased"):
@@ -104,7 +102,7 @@ class TestStrongDescent:
 
     def test_single_record_trace_vacuous(self):
         tr = run_ccp(example29(), [-1.0])
-        one = IterationTrace(records=tr.records[:1], termination=tr.termination)
+        one = Trace(records=tr.records[:1], termination=tr.termination)
         assert check_strong_descent(one, 5.0)
 
     def test_corrupted_record_detected(self):
@@ -131,6 +129,11 @@ class TestConfig:
             CcpConfig(eps_f=0.0)
         with pytest.raises(ConeCcpError):
             CcpConfig(eps_x=-1.0)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, 3.0, True, "5", None])
+    def test_max_iter_must_be_a_nonnegative_int(self, max_iter):
+        with pytest.raises(ConeCcpError, match="max_iter"):
+            CcpConfig(max_iter=max_iter)
 
     def test_max_iter_respected(self):
         p = quadratic_sdp(4)

@@ -78,6 +78,59 @@ class TestSolveCommands:
             assert code == 4
             assert json.loads(out)["termination"] == "inner_iter_limit"
 
+    def test_max_iter_zero_runs_no_iteration(self, capsys):
+        for algorithm, x0 in (("ccp", "2"), ("penalty-ccp", "-1")):
+            code, out, _ = run_cli(capsys, "solve", algorithm, "--builtin",
+                                   "example29", f"--x0={x0}", "--max-iter",
+                                   "0", "--json")
+            report = json.loads(out)
+            assert code == 4
+            assert report["termination"] == "max_iter"
+            assert report["iterations"] == 0
+            assert report["x"] == [float(x0)]
+
+    def test_negative_max_iter_exits_3(self, capsys):
+        for algorithm, x0 in (("ccp", "2"), ("penalty-ccp", "-1")):
+            code, out, err = run_cli(capsys, "solve", algorithm, "--builtin",
+                                     "example29", f"--x0={x0}", "--max-iter",
+                                     "-1")
+            assert code == 3
+            assert out == "" and "max_iter" in err
+
+
+class TestSolveReportSchema:
+    COMMON = ["problem", "algorithm", "termination", "iterations", "x", "f0",
+              "infeas"]
+    PENALTY = COMMON + ["s_norm", "tau", "merit"]
+    RUNS = (("ccp", "2", COMMON), ("penalty-ccp", "-1", PENALTY))
+
+    def test_json_keys(self, capsys):
+        for algorithm, x0, keys in self.RUNS:
+            code, out, _ = run_cli(capsys, "solve", algorithm, "--builtin",
+                                   "example29", f"--x0={x0}", "--json")
+            assert code == 0
+            assert set(json.loads(out)) == set(keys)
+
+    def test_text_keys_in_order(self, capsys):
+        for algorithm, x0, keys in self.RUNS:
+            code, out, _ = run_cli(capsys, "solve", algorithm, "--builtin",
+                                   "example29", f"--x0={x0}")
+            assert code == 0
+            assert [line.split(": ")[0] for line in out.splitlines()] == keys
+
+    def test_ccp_trace_rows_have_null_penalty_columns(self, capsys, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        code, _, _ = run_cli(capsys, "solve", "ccp", "--builtin", "example29",
+                             "--x0", "2", "--trace", str(trace))
+        assert code == 0
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(rows) > 1
+        for row in rows:
+            assert list(row) == ["n", "x", "f0", "infeas", "s_norm", "tau",
+                                 "merit", "status"]
+            assert row["s_norm"] is None and row["tau"] is None
+            assert row["merit"] is None
+
     def test_unknown_flag_exits_usage(self, capsys):
         for argv in (["solve", "ccp", "--no-such-flag"],
                      ["solve", "ccp", "--builtin", "example29", "--x0", "2",

@@ -277,6 +277,17 @@ class TestConeTypes:
                      ProductCone((PsdCone(2), Orthant(1)))):
             assert cone_from_descriptor(cone.descriptor()) == cone
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5, 1.9, 2.0, True, False,
+                                      "2", [2], None])
+    def test_sizes_must_be_positive_ints(self, size):
+        for make, kind in ((PsdCone, "psd"), (Orthant, "orthant")):
+            with pytest.raises(InvalidElement, match="positive integer"):
+                make(size)
+            with pytest.raises(InvalidElement, match="positive integer"):
+                cone_from_descriptor({kind: size})
+            with pytest.raises(InvalidElement, match="positive integer"):
+                cone_from_descriptor({"product": [{kind: size}]})
+
     def test_identity_strictly_interior(self):
         for cone in (PSD2, ORTH2, ProductCone((PSD2, ORTH2))):
             e = cone.identity()

@@ -12,8 +12,7 @@ from coneccp.dc import ConvexOracle, quadratic_oracle
 from coneccp.errors import ConeCcpError, InvariantViolation
 from coneccp.feasible import FeasibleSet, box
 from coneccp.library import example29
-from coneccp.subproblem import (PENALIZED, build_constrained,
-                                linearize_constraint)
+from coneccp.subproblem import build_constrained, linearize_constraint
 
 
 from oracles import (bisect_min_reference, bisect_root_reference,
@@ -22,7 +21,7 @@ from oracles import (bisect_min_reference, bisect_root_reference,
 
 def bare_spec(oracle, fs):
     from coneccp.subproblem import SubproblemSpec
-    return SubproblemSpec(objective=oracle, feasible_set=fs, mode=PENALIZED)
+    return SubproblemSpec(objective=oracle, feasible_set=fs)
 
 
 class TestAgainstProjectedGradient:

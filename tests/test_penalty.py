@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from coneccp import inner, penalty
+from coneccp.ccp import Trace
 from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.library import example29, quadratic_sdp
-from coneccp.penalty import (PenaltyConfig, PenaltyTrace, _penalty_update,
+from coneccp.penalty import (PenaltyConfig, _penalty_update,
                              check_merit_decrease, detect_feasible_handoff,
                              run_penalty_ccp)
 from coneccp.subproblem import build_constrained, build_penalized, recover_slack
@@ -59,8 +60,7 @@ class TestMeritMonotonicity:
 
     def test_single_record_trace(self):
         tr = run_penalty_ccp(example29(), [-1.0], PenaltyConfig(**REFERENCE_CFG))
-        one = PenaltyTrace(records=tr.records[:1], termination=tr.termination,
-                           e_norm=tr.e_norm)
+        one = Trace(records=tr.records[:1], termination=tr.termination)
         assert check_merit_decrease(one)
 
     def test_corrupted_record_detected(self):
@@ -195,8 +195,7 @@ class TestInvariants:
     def test_merit_increase_raises(self, monkeypatch):
         # from the feasible x = -1 (merit 2.25) a step to x = 5 raises f0
         # alone to 20.25, whatever the slack
-        worse = inner.SolveReport(np.array([5.0]), 0.0, 0.0, 0.0,
-                                  inner.OPTIMAL)
+        worse = inner.SolveReport(np.array([5.0]), 0.0, 0.0, inner.OPTIMAL)
         monkeypatch.setattr(inner, "solve_convex",
                             lambda spec, **kwargs: worse)
         with pytest.raises(InvariantViolation, match="merit increased"):
@@ -220,3 +219,8 @@ class TestConfigValidation:
             PenaltyConfig(tau0=1.0, mu=1.0)
         with pytest.raises(ConeCcpError):
             PenaltyConfig(tau0=1.0, mu=2.0, kappa=-1.0)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, 3.0, True, "5", None])
+    def test_max_iter_must_be_a_nonnegative_int(self, max_iter):
+        with pytest.raises(ConeCcpError, match="max_iter"):
+            PenaltyConfig(tau0=1.0, mu=2.0, max_iter=max_iter)
