@@ -97,6 +97,14 @@ class TestSolveCommands:
             assert code == 3
             assert out == "" and "max_iter" in err
 
+    def test_unknown_flag_exits_usage(self, capsys):
+        for argv in (["solve", "ccp", "--no-such-flag"],
+                     ["solve", "ccp", "--builtin", "example29", "--x0", "2",
+                      "--seed", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 64
+
 
 class TestSolveReportSchema:
     COMMON = ["problem", "algorithm", "termination", "iterations", "x", "f0",
@@ -130,14 +138,6 @@ class TestSolveReportSchema:
                                  "merit", "status"]
             assert row["s_norm"] is None and row["tau"] is None
             assert row["merit"] is None
-
-    def test_unknown_flag_exits_usage(self, capsys):
-        for argv in (["solve", "ccp", "--no-such-flag"],
-                     ["solve", "ccp", "--builtin", "example29", "--x0", "2",
-                      "--seed", "1"]):
-            with pytest.raises(SystemExit) as err:
-                main(argv)
-            assert err.value.code == 64
 
 
 class TestCheckCommands:
