@@ -37,24 +37,24 @@ def pivot_loop(T, basis, ncols, max_pivots):
     while pivots < max_pivots:
         obj = T[m, :ncols]
         if bland:
-            neg = np.nonzero(obj < -PIVOT_TOL)[0]
+            neg = (obj < -PIVOT_TOL).nonzero()[0]
             if neg.size == 0:
                 return OPTIMAL, pivots
             col = int(neg[0])
         else:
-            col = int(np.argmin(obj))
+            col = int(obj.argmin())
             if obj[col] >= -PIVOT_TOL:
                 return OPTIMAL, pivots
         colvals = T[:m, col]
         rhs = T[:m, T.shape[1] - 1]
         eligible = colvals > PIVOT_TOL
-        if not np.any(eligible):
+        if not eligible.any():
             return UNBOUNDED, pivots
         ratios = np.full(m, np.inf)
         ratios[eligible] = rhs[eligible] / colvals[eligible]
-        best = float(np.min(ratios))
-        ties = np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))[0]
-        row = int(ties[np.argmin(basis[ties])])
+        best = float(ratios.min())
+        ties = (ratios <= best + PIVOT_TOL * (1.0 + abs(best))).nonzero()[0]
+        row = int(ties[basis[ties].argmin()])
         if best <= PIVOT_TOL:
             degenerate_run += 1
             if degenerate_run >= BLAND_AFTER:
@@ -76,26 +76,33 @@ def dual_loop(T, basis, max_pivots):
     entry, or ITER_LIMIT.
     """
     m = T.shape[0] - 1
+    rhs, obj = T[:m, -1], T[m, :-1]
     for pivots in range(max_pivots):
-        row = int(np.argmin(T[:m, -1]))
-        if T[row, -1] >= -PIVOT_TOL:
+        row = int(rhs.argmin())
+        if rhs[row] >= -PIVOT_TOL:
             return OPTIMAL, pivots
         entries = T[row, :-1]
-        cols = np.nonzero(entries < -PIVOT_TOL)[0]
+        cols = (entries < -PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             return INFEASIBLE, pivots
-        ratios = np.maximum(T[m, cols], 0.0) / -entries[cols]
-        col = int(cols[np.argmin(ratios)])
+        ratios = np.maximum(obj[cols], 0.0) / -entries[cols]
+        col = int(cols[ratios.argmin()])
         pivot(T, row, col)
         basis[row] = col
     return ITER_LIMIT, max_pivots
 
 
 def pivot(T, row, col):
-    T[row, :] /= T[row, col]
+    """Pivot T in place on (row, col): scale the row to a unit pivot, then
+    subtract its multiples from every other row, the objective row
+    included, as one rank-one update.  T may be a view into a larger
+    buffer, such as a warm master's live tableau; entries outside the view
+    are left alone."""
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
+    T -= factors[:, None] * pivot_row
     # Kill accumulated roundoff in the pivot column.
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    pivot_row[col] = 1.0

@@ -506,10 +506,14 @@ class ConvexityVerdict:
 
 def convexity_gap(map_oracle, x1, x2, alpha) -> ConeElement:
     """alpha F(x1) + (1-alpha) F(x2) - F(alpha x1 + (1-alpha) x2)."""
+    return _midpoint_gap(map_oracle, x1, x2, map_oracle.value(x1),
+                         map_oracle.value(x2), alpha)
+
+
+def _midpoint_gap(map_oracle, x1, x2, f1, f2, alpha) -> ConeElement:
+    """convexity_gap with F(x1) = f1 and F(x2) = f2 already evaluated."""
     mid = alpha * x1 + (1.0 - alpha) * x2
-    return (map_oracle.value(x1).scale(alpha)
-            + map_oracle.value(x2).scale(1.0 - alpha)
-            - map_oracle.value(mid))
+    return f1.scale(alpha) + f2.scale(1.0 - alpha) - map_oracle.value(mid)
 
 
 def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
@@ -541,8 +545,10 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
                 return ConvexityVerdict(False, ConvexityWitness(
                     x1, x2, None, sc.block, sc.vector, sc.value), samples)
         else:
-            for alpha in (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0))):
-                gap = convexity_gap(map_oracle, x1, x2, alpha)
+            alphas = (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0)))
+            f1, f2 = map_oracle.value(x1), map_oracle.value(x2)
+            for alpha in alphas:
+                gap = _midpoint_gap(map_oracle, x1, x2, f1, f2, alpha)
                 sc = lambda_max_scalarize(-gap)
                 if sc.value > CONVEXITY_TOL:
                     return ConvexityVerdict(False, ConvexityWitness(

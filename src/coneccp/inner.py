@@ -113,31 +113,46 @@ class _Master:
     """The growing master LP of one Kelley loop: minimize the epigraph
     variable t over the set's affine rows and the cuts made so far.
 
-    Rows are only ever appended, so each solve re-optimizes warm from the
-    previous one; a new loop starts a fresh tableau.
+    The rows live in preallocated buffers (``lp.ROOM`` spare rows, doubled
+    when full); a cut is written into the next free row.  Rows are only ever
+    appended, so each solve passes the prefix views ``A[:m], b[:m]`` and
+    re-optimizes warm, in place, from the previous solve's state, which the
+    master alone holds; a new loop starts a fresh tableau.
     """
 
     def __init__(self, fs: FeasibleSet):
         self.lo = np.concatenate([fs.lo, [-np.inf]])
         self.hi = np.concatenate([fs.hi, [np.inf]])
         self.c = np.concatenate([np.zeros(fs.dim), [1.0]])
-        self.rows = [np.append(a, 0.0) for a in fs.affine_A]
-        self.rhs = [float(v) for v in fs.affine_b]
-        self.n_affine = len(self.rows)
+        self.m = self.n_affine = len(fs.affine_b)
+        self.A = np.zeros((self.m + lp.ROOM, fs.dim + 1))
+        self.b = np.zeros(self.m + lp.ROOM)
+        self.A[:self.m, :-1] = fs.affine_A
+        self.b[:self.m] = fs.affine_b
         self.state = None
 
     @property
     def cuts(self):
-        return len(self.rows) - self.n_affine
+        return self.m - self.n_affine
 
     def cut(self, f, g, p, epigraph):
         """Add g'x - t <= g'p - f (an objective cut) when ``epigraph``,
         else g'x <= g'p - f (a constraint cut)."""
-        self.rows.append(np.append(g, -1.0 if epigraph else 0.0))
-        self.rhs.append(float(g @ p) - f)
+        m = self.m
+        if m == self.b.size:
+            A = np.zeros((2 * m, self.A.shape[1]))
+            b = np.zeros(2 * m)
+            A[:m], b[:m] = self.A, self.b
+            self.A, self.b = A, b
+            if self.state is not None:
+                self.state.rebase(A, b)
+        self.A[m, :-1] = g
+        self.A[m, -1] = -1.0 if epigraph else 0.0
+        self.b[m] = float(g @ p) - f
+        self.m = m + 1
 
     def solve(self):
-        res = lp.solve_lp(self.c, np.array(self.rows), np.array(self.rhs),
+        res = lp.solve_lp(self.c, self.A[:self.m], self.b[:self.m],
                           self.lo, self.hi, warm=self.state)
         self.state = res.state
         return res

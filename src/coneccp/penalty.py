@@ -124,13 +124,23 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     return trace
 
 
+def _penalty_records(trace: Trace) -> list[Record]:
+    """The trace's records; a ConeCcpError when any lacks the penalty fields
+    (a plain CCP run leaves them None)."""
+    recs = trace.records
+    if any(r.s is None or r.s_norm is None or r.tau is None for r in recs):
+        raise ConeCcpError("the trace has no penalty fields (s, s_norm, tau); "
+                           "pass the trace of a penalty run")
+    return recs
+
+
 def check_merit_decrease(trace: Trace) -> bool:
     """Whether f0 + <t_n, s> did not increase across any step.
 
     Both sides of each comparison use the penalty in force at step n (not the
     updated one), matching the descent guarantee for the method.
     """
-    recs = trace.records
+    recs = _penalty_records(trace)
     if not recs:
         raise ConeCcpError("empty trace")
     for a, b in zip(recs, recs[1:]):
@@ -148,7 +158,7 @@ def detect_feasible_handoff(trace: Trace, tol_feas=1e-8) -> int | None:
     From that point on the run is feasible and behaves like the plain CCP
     (descent and feasibility invariants hold on the tail).
     """
-    recs = trace.records
+    recs = _penalty_records(trace)
     m = None
     for r in recs:
         if r.s_norm <= tol_feas:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coneccp import inner, lp
+from coneccp.ccp import CcpConfig, run_ccp
 from coneccp.dc import ConvexOracle, quadratic_oracle
 from coneccp.errors import ConeCcpError, InvariantViolation
 from coneccp.feasible import FeasibleSet, box
-from coneccp.library import example29
+from coneccp.library import example29, quadratic_sdp, stiefel
+from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.subproblem import build_constrained, linearize_constraint
 
 
@@ -315,3 +317,56 @@ def test_one_dimensional_runs_evaluate_few_linearizations(monkeypatch):
     run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
         tau0=1.0, mu=2.0, kappa=1e-6, tau_max=1024.0))
     assert calls <= 115
+
+
+def test_master_outgrowing_its_buffers_keeps_every_bit(monkeypatch):
+    """Masters that start with one or two spare rows and tableau columns
+    grow by doubling, re-optimizing warm across every growth: the CCP and
+    penalty runs match the default capacity bit for bit."""
+    problems = [quadratic_sdp(seed, validate=False) for seed in range(6)]
+    cfg = PenaltyConfig(tau0=0.5, mu=2.0, kappa=1e-7, tau_max=1e7,
+                        max_iter=10)
+
+    def fingerprint(trace):
+        return (trace.termination, [
+            (r.n, r.x.tobytes(), r.f0, r.infeas, r.subproblem_status,
+             r.s_norm, r.tau, r.merit) for r in trace.records])
+
+    def runs():
+        rng = np.random.default_rng(0)
+        out = []
+        for q in problems:
+            x_bar = q.known_facts["strictly_feasible_point"]
+            out.append(run_ccp(q, x_bar, CcpConfig(max_iter=6)))
+            out.append(run_penalty_ccp(q, rng.uniform(-2, 2, 2), cfg))
+        s22 = stiefel(2, 2)
+        out.append(run_ccp(s22, s22.known_facts["orthonormal_point"],
+                           CcpConfig(max_iter=6)))
+        out.append(run_penalty_ccp(s22, rng.uniform(-1.5, 1.5, 4), cfg))
+        return [fingerprint(tr) for tr in out]
+
+    grows = []   # (size, need) of each tableau dimension that had to grow
+    rows = []    # (affine rows, row capacity) of each master solved
+    grown, solve = lp._grown, inner._Master.solve
+
+    def counted(size, need):
+        if need > size:
+            grows.append((size, need))
+        return grown(size, need)
+
+    def recorded(self):
+        rows.append((self.n_affine, self.b.size))
+        return solve(self)
+
+    monkeypatch.setattr(lp, "_grown", counted)
+    monkeypatch.setattr(inner._Master, "solve", recorded)
+    default = runs()
+    for room in (1, 2):
+        monkeypatch.setattr(lp, "ROOM", room)
+        grows.clear()
+        rows.clear()
+        assert runs() == default
+        # tableaux outgrew their first doubling, row buffers their first
+        # capacity
+        assert any(size > 2 * room + 4 for size, _ in grows)
+        assert any(cap > 2 * (n + room) for n, cap in rows)

@@ -232,3 +232,97 @@ def test_warm_chain_matches_cold_and_highs(chain):
                     # so the primal clean-up has nothing left to do
                     assert kernel_warm == (1, 0)
             state = warm.state
+
+
+# ---------------------------------------------------------------------------
+# The warm state's ownership contract
+
+
+@contextmanager
+def counting_dual_loops():
+    """Yields a one-element list counting calls of the dual kernel, which
+    only a warm re-solve makes."""
+    calls = [0]
+    kernel = lp._kernel
+    dual_loop = kernel.dual_loop
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dual_loop(*args, **kwargs)
+
+    kernel.dual_loop = counted
+    try:
+        yield calls
+    finally:
+        kernel.dual_loop = dual_loop
+
+
+def kelley_master():
+    """c, lo, hi of a master over the box [-1, 1]^2 with a free epigraph
+    variable t, and row buffers holding five cuts of |x|^2 - x_1."""
+    f = lambda p: float(p @ p) - p[0]
+    grad = lambda p: 2.0 * p - np.array([1.0, 0.0])
+    points = [np.array(p) for p in
+              ([0.0, 0.0], [0.9, -0.8], [-0.7, 0.6], [0.5, 0.5], [0.2, -0.3])]
+    A = np.array([np.append(grad(p), -1.0) for p in points])
+    b = np.array([float(grad(p) @ p) - f(p) for p in points])
+    c = np.array([0.0, 0.0, 1.0])
+    lo = np.array([-1.0, -1.0, -np.inf])
+    hi = np.array([1.0, 1.0, np.inf])
+    return c, A, b, lo, hi
+
+
+def assert_solved_cold(res, c, A, b, lo, hi):
+    """res is bit for bit the cold solve, and HiGHS agrees."""
+    cold = lp.solve_lp(c, A, b, lo, hi)
+    assert (res.status, res.value) == (cold.status, cold.value)
+    assert res.x.tobytes() == cold.x.tobytes()
+    ref_status, ref_value = highs(c, A, b, lo, hi)
+    assert res.status == ref_status
+    assert abs(res.value - ref_value) <= 1e-7 * max(1.0, abs(ref_value))
+
+
+@pytest.mark.skipif(linprog is None, reason="scipy unavailable")
+class TestWarmStateLifecycle:
+    def test_consumed_state_is_solved_cold(self):
+        c, A, b, lo, hi = kelley_master()
+        state = lp.solve_lp(c, A[:2], b[:2], lo, hi).state
+        with counting_dual_loops() as calls:
+            lp.solve_lp(c, A[:3], b[:3], lo, hi, warm=state)
+            assert calls == [1]
+            again = lp.solve_lp(c, A[:4], b[:4], lo, hi, warm=state)
+            assert calls == [1]
+        assert_solved_cold(again, c, A[:4], b[:4], lo, hi)
+
+    def test_branched_state_is_solved_cold(self):
+        # one state extended twice with different third rows of its buffer
+        c, A, b, lo, hi = kelley_master()
+        state = lp.solve_lp(c, A[:2], b[:2], lo, hi).state
+        with counting_dual_loops() as calls:
+            lp.solve_lp(c, A[:3], b[:3], lo, hi, warm=state)
+            A[2], b[2] = A[3], b[3]
+            branch = lp.solve_lp(c, A[:3], b[:3], lo, hi, warm=state)
+            assert calls == [1]
+        assert_solved_cold(branch, c, A[:3], b[:3], lo, hi)
+
+    def test_foreign_rows_or_objects_are_solved_cold(self):
+        c, A, b, lo, hi = kelley_master()
+        state = lp.solve_lp(c, A[:2], b[:2], lo, hi).state
+        foreign = [
+            (c, np.array(A[:3]), b[:3], lo, hi),          # a fresh array
+            (c, A.copy()[:3], b.copy()[:3], lo, hi),      # other buffers
+            (c, A[:3], np.array(b[:3]), lo, hi),          # a fresh rhs
+            (c.copy(), A[:3], b[:3], lo, hi),             # an equal c
+            (c, A[:3], b[:3], lo.copy(), hi),             # equal bounds
+            (c, A[:3], b[:3], lo, hi.copy()),
+        ]
+        with counting_dual_loops() as calls:
+            for args in foreign:
+                assert_solved_cold(lp.solve_lp(*args, warm=state), *args)
+            assert calls == [0]
+            # none of them consumed the state: the owner still extends it
+            warm = lp.solve_lp(c, A[:3], b[:3], lo, hi, warm=state)
+            assert calls == [1]
+        cold = lp.solve_lp(c, A[:3], b[:3], lo, hi)
+        assert warm.status == cold.status == lp.OPTIMAL
+        assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coneccp import inner, penalty
-from coneccp.ccp import Trace
+from coneccp.ccp import Trace, run_ccp
 from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.library import example29, quadratic_sdp
 from coneccp.penalty import (PenaltyConfig, _penalty_update,
@@ -69,6 +69,10 @@ class TestMeritMonotonicity:
         bad.records[1].f0 += 5.0
         assert not check_merit_decrease(bad)
 
+    def test_ccp_trace_is_refused(self):
+        with pytest.raises(ConeCcpError, match="no penalty fields"):
+            check_merit_decrease(run_ccp(example29(), [2.0]))
+
 
 class TestPenaltySchedule:
     def test_monotone_and_capped(self):
@@ -104,6 +108,10 @@ class TestSlackLink:
 
 
 class TestFeasibleHandoff:
+    def test_ccp_trace_is_refused(self):
+        with pytest.raises(ConeCcpError, match="no penalty fields"):
+            detect_feasible_handoff(run_ccp(example29(), [2.0]))
+
     def test_handoff_exists_on_penalty_growth_run(self):
         tr = run_penalty_ccp(example29(), [-1.0],
                              PenaltyConfig(tau0=1.0, mu=2.0, kappa=0.0,
