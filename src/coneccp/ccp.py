@@ -25,6 +25,7 @@ from . import inner
 from .cones import ConeElement, dist_to_neg_cone
 from .errors import (ConeCcpError, InfeasibleStart, InvariantViolation,
                      SubproblemInfeasible)
+from .feasible import as_point
 from .subproblem import build_constrained
 
 CRITICAL_FIXED_POINT = "critical_fixed_point"
@@ -108,15 +109,17 @@ class Trace:
 def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
     """Run the convex-concave procedure from a feasible point.
 
-    Raises :class:`InfeasibleStart` when x0 is outside the set or violates
-    the cone constraint beyond tolerance, and :class:`SubproblemInfeasible`
-    if a subproblem turns out infeasible (impossible from a feasible start;
-    it would indicate an oracle or solver defect).  A subproblem the inner
-    solver leaves at its iteration limit ends the run with termination
-    ``INNER_ITER_LIMIT`` at the last accepted iterate.
+    Raises :class:`ConeCcpError` when x0 is not a finite point of the
+    problem's dimension, :class:`InfeasibleStart` when it is outside the
+    set or violates the cone constraint beyond tolerance, and
+    :class:`SubproblemInfeasible` if a subproblem turns out infeasible
+    (impossible from a feasible start; it would indicate an oracle or
+    solver defect).  A subproblem the inner solver leaves at its iteration
+    limit ends the run with termination ``INNER_ITER_LIMIT`` at the last
+    accepted iterate.
     """
     cfg = config or CcpConfig()
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = as_point(x0, problem.feasible_set.dim)
     if not problem.feasible_set.contains(x):
         raise InfeasibleStart("x0 is outside the feasible set")
     infeas0 = dist_to_neg_cone(problem.constraint.value(x))

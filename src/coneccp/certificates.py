@@ -7,6 +7,8 @@ form of the same condition; the generalized residual does the analogous
 comparison for the penalized subproblem at (possibly infeasible) points.
 All residuals are computed for one supplied subgradient of the concave
 objective part; oracles return single elements, never subdifferential sets.
+Each function raises :class:`~coneccp.errors.ConeCcpError` for a point that
+is not a finite vector of the problem's dimension.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from . import inner
 from .cones import (ConeElement, dist_to_neg_cone, eigenpairs,
                     inner as cone_inner, project_pos)
 from .errors import InfeasibleStart, SubproblemInfeasible
+from .feasible import as_point
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
 SUBPROBLEM_TOL = 1e-9  # optimality tolerance of the subproblem solves
@@ -46,7 +49,7 @@ class CriticalityCertificate:
 
 def infeasibility(problem, x) -> float:
     """Distance from F(x) to the negated cone: zero exactly on feasible points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, problem.feasible_set.dim)
     return dist_to_neg_cone(problem.constraint.value(x))
 
 
@@ -56,7 +59,7 @@ def criticality_residual(problem, x, v=None) -> float:
     Nonnegative up to solver tolerance; at or below tolerance the point is
     critical for the supplied subgradient choice.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, problem.feasible_set.dim)
     if infeasibility(problem, x) > 10.0 * inner.TOL_FEAS:
         raise InfeasibleStart("criticality residual needs a feasible point")
     if v is None:
@@ -75,7 +78,7 @@ def generalized_criticality_residual(problem, x, tau, v=None) -> float:
     Defined at infeasible points as well; at or below tolerance the point is
     generalized-critical for penalty tau times the cone identity.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, problem.feasible_set.dim)
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_penalized(problem, x, v, tau)
@@ -93,8 +96,8 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     complementarity: |<lam, F(x)>|.
     dual feasibility: distance from lam to the cone.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    x = as_point(x, problem.feasible_set.dim)
+    v = as_point(v, x.size)
     g0_sub = problem.objective.g0.subgrad(x)
     cmap = problem.constraint
 
@@ -136,7 +139,7 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
 
 def certify(problem, x, v=None, lam=None) -> CriticalityCertificate:
     """Assemble the certificate a solver run hands to a reviewer."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_point(x, problem.feasible_set.dim)
     if v is None:
         v = problem.objective.h0.subgrad(x)
     gap = criticality_residual(problem, x, v)

@@ -11,12 +11,14 @@ Subcommands:
     list builtins        names accepted by --builtin
 
 Exit codes: 0 success, 2 infeasible start (solve ccp), 3 schema/problem-file
-error, 4 iteration limit (outer loop or inner solver), 64 usage error.
+error or malformed --x0, 4 iteration limit (outer loop or inner solver), 64
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +28,8 @@ from . import ccp, certificates, penalty
 from .dc import lambda_max_dc_decomposition, lambda_max_subgradient, \
     verify_k_convexity
 from .errors import ConeCcpError, InfeasibleStart, SchemaError
-from .library import BUILTINS, builtin
+from .feasible import as_point
+from .library import BUILTINS
 from .problem_io import load_componentwise, load_problem
 
 EXIT_OK = 0
@@ -63,7 +66,10 @@ def _add_common_solver_args(p):
                    help="print the final report as JSON")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later one."""
     parser = _Parser(prog="coneccp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -131,10 +137,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args):
+def _source(args):
+    """The problem source a command names: the --problem file or JSON text,
+    or the document of the --builtin instance."""
     if args.builtin is not None:
-        return builtin(args.builtin)
-    return load_problem(args.problem)
+        return {"kind": "builtin", "name": args.builtin}
+    return args.problem
+
+
+def _load(args):
+    return load_problem(_source(args))
 
 
 def _parse_x0(text) -> np.ndarray:
@@ -227,16 +239,15 @@ def _known_multiplier(problem, x):
     mults = problem.known_facts.get("multipliers")
     if not isinstance(mults, dict) or x.size != 1:
         return None
-    lam = mults.get(f"{float(x[0]):.1f}") or mults.get(str(float(x[0])))
+    lam = mults.get(str(float(x[0])))
     if lam is None:
         return None
     return problem.constraint.cone.element(np.array([float(lam)]))
 
 
 def _cmd_decompose(args) -> int:
-    F, fs, name = load_componentwise(
-        {"kind": "builtin", "name": args.builtin} if args.builtin
-        else args.problem)
+    F, fs, name = load_componentwise(_source(args))
+    x0 = None if args.x0 is None else as_point(_parse_x0(args.x0), F.dim)
     split = lambda_max_dc_decomposition(F)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -250,11 +261,10 @@ def _cmd_decompose(args) -> int:
                      "g": g, "h": h})
     report = {"problem": name, "order": F.order,
               "max_identity_error": worst, "samples": rows}
-    if args.x0 is not None:
-        x = _parse_x0(args.x0)
-        xi_g, xi_h = lambda_max_subgradient(F, x)
+    if x0 is not None:
+        xi_g, xi_h = lambda_max_subgradient(F, x0)
         report["subgradients_at_x0"] = {
-            "x0": [float(c) for c in x],
+            "x0": [float(c) for c in x0],
             "g": [float(c) for c in xi_g],
             "h": [float(c) for c in xi_h],
         }
@@ -298,8 +308,7 @@ _COMMANDS = {"solve": _cmd_solve, "check": _cmd_check,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleStart as exc:

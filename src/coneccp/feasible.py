@@ -80,3 +80,15 @@ class FeasibleSet:
 def box(lo, hi) -> FeasibleSet:
     """Convenience constructor for a pure box."""
     return FeasibleSet(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+
+def as_point(x, dim: int) -> np.ndarray:
+    """x as a float vector of ``dim`` entries.
+
+    Raises :class:`ConeCcpError` for any other length or a non-finite entry.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (dim,) or not np.isfinite(x).all():
+        raise ConeCcpError(
+            f"expected a finite point of dimension {dim}, got {x.tolist()}")
+    return x

@@ -74,6 +74,11 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8,
     cuts ends at ``ITER_LIMIT``.  One-dimensional subproblems are bracketed
     down to adjacent floats whatever ``tol`` is, and never end at
     ``ITER_LIMIT``.
+
+    One-dimensional lower bounds (``gap_bound`` and the infeasibility
+    ``certificate``) hold for the oracles as computed, with 4 ulps left for
+    rounding between nearby floats; rounding inside the oracles themselves,
+    such as an ``eigh``'s backward error, is outside the certificate.
     """
     if spec.feasible_set.dim == 1:
         return _solve_1d(spec)
@@ -325,20 +330,23 @@ def _bisect_min(f, df, lo, hi):
     """Minimize a convex scalar function on [lo, hi] by bracketing the sign
     change of its subgradient down to adjacent floats.
 
-    Returns (x, f(x), certified lower bound).
+    Returns (x, f(x), lower bound).  The bound is certified for f as the
+    oracle computes it: it leaves 4 ulps of max(|f| at the returned ends, 1)
+    for the computed f to dip lower at nearby floats.  Rounding inside the
+    oracle beyond that is outside the certificate.
     """
     glo = df(lo)
     if glo >= 0.0:
         flo = f(lo)
-        return lo, flo, flo
+        return lo, flo, flo - _rounding_margin(flo)
     ghi = df(hi)
     if ghi <= 0.0:
         fhi = f(hi)
-        return hi, fhi, fhi
+        return hi, fhi, fhi - _rounding_margin(fhi)
     a, ga, b, gb = _bracket(df, lo, glo, hi, ghi, stop_at_zero=True)
     if ga == 0.0:
         fm = f(a)
-        return a, fm, fm
+        return a, fm, fm - _rounding_margin(fm)
     fa, fb = f(a), f(b)
     x = a if fa <= fb else b
     fx = min(fa, fb)
@@ -351,7 +359,12 @@ def _bisect_min(f, df, lo, hi):
         lbv = min(lbv, fx)
     else:
         lbv = fx
-    return x, fx, lbv
+    return x, fx, lbv - _rounding_margin(fa, fb)
+
+
+def _rounding_margin(*values):
+    """4 ulps of the largest of 1 and |values|."""
+    return 4.0 * math.ulp(max(1.0, *map(abs, values)))
 
 
 def _scalar(value, subgrad):

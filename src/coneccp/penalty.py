@@ -21,6 +21,7 @@ from .ccp import (FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, Record, Trace,
                   check_max_iter)
 from .cones import dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InfeasibleStart, InvariantViolation
+from .feasible import as_point
 from .subproblem import build_penalized, recover_slack
 
 FIXED_POINT = "fixed_point"
@@ -63,11 +64,14 @@ def _penalty_update(tau, s_norm, cfg: PenaltyConfig, e_norm: float) -> float:
 def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     """Run the penalty CCP from any point of the set (feasibility not required).
 
+    Raises :class:`ConeCcpError` when x0 is not a finite point of the
+    problem's dimension, :class:`InfeasibleStart` when it is outside the set.
+
     A subproblem the inner solver leaves at its iteration limit ends the run
     with termination ``INNER_ITER_LIMIT`` at the last accepted iterate.
     """
     cfg = config
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = as_point(x0, problem.feasible_set.dim)
     if not problem.feasible_set.contains(x):
         raise InfeasibleStart("x0 is outside the feasible set A")
     identity = problem.constraint.cone.identity()

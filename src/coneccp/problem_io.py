@@ -21,15 +21,20 @@ import numpy as np
 
 from .dc import (ComponentwiseDcMatrix, ScalarDcFunction, quadratic_oracle,
                  regularized_dc_decomposition)
-from .errors import SchemaError
+from .errors import ConeCcpError, SchemaError
 from .feasible import FeasibleSet
 from .library import (EXAMPLE29_G, EXAMPLE29_H, ProblemInstance,
                       _poly_oracle, builtin, diagonal_componentwise,
-                      example29, polynomial_constraint_map,
-                      polynomial_nonconvexity, quadratic_componentwise,
-                      quadratic_hessian_bound, quadratic_matrix_map)
+                      polynomial_constraint_map, polynomial_nonconvexity,
+                      quadratic_componentwise, quadratic_hessian_bound,
+                      quadratic_matrix_map)
 
 KINDS = ("builtin", "quadratic_sdp", "scalar_dc_polynomial")
+
+# the builtins with an entrywise-DC view, by name
+_BUILTIN_VIEWS = {
+    "example29": lambda: diagonal_componentwise([EXAMPLE29_G], [EXAMPLE29_H]),
+}
 
 
 def _read_source(source) -> dict:
@@ -62,16 +67,7 @@ def _read_source(source) -> dict:
 
 def load_problem(source) -> ProblemInstance:
     """Load an instance from a path, JSON string, or already-parsed dict."""
-    doc = _read_source(source)
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
-    with _schema_errors():
-        if kind == "builtin":
-            return _load_builtin(doc)
-        if kind == "quadratic_sdp":
-            return _load_quadratic(doc)[0]
-        return _load_polynomial(doc)
+    return _load(source)[0]
 
 
 def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]:
@@ -82,34 +78,39 @@ def load_componentwise(source) -> tuple[ComponentwiseDcMatrix, FeasibleSet, str]
     :func:`load_problem`; quadratic instances are validated and split
     entrywise by curvature sign.
     """
+    inst, view = _load(source)
+    if view is None:
+        raise SchemaError(
+            "entrywise decomposition needs a scalar_dc_polynomial or "
+            "quadratic_sdp problem (or the example29 builtin)")
+    return view(), inst.feasible_set, inst.name
+
+
+def _load(source):
+    """The validated instance behind a source, and a function that builds
+    its entrywise-DC view, or None when the problem has no such view."""
     doc = _read_source(source)
     kind = doc.get("kind")
-    if kind == "builtin" and doc.get("name") == "example29":
-        inst = example29()
-        return (diagonal_componentwise([EXAMPLE29_G], [EXAMPLE29_H]),
-                inst.feasible_set, inst.name)
+    if kind not in KINDS:
+        raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
     with _schema_errors():
-        if kind == "scalar_dc_polynomial":
-            inst = _load_polynomial(doc)
-            rows = doc["constraints"]
-            F = diagonal_componentwise([r["G"] for r in rows],
-                                       [r["H"] for r in rows])
-            return F, inst.feasible_set, inst.name
+        if kind == "builtin":
+            return _load_builtin(doc)
         if kind == "quadratic_sdp":
-            inst, (C, B, A) = _load_quadratic(doc)
-            return (quadratic_componentwise(C, B, A), inst.feasible_set,
-                    inst.name)
-    raise SchemaError(
-        "entrywise decomposition needs a scalar_dc_polynomial or "
-        "quadratic_sdp problem (or the example29 builtin)")
+            return _load_quadratic(doc)
+        return _load_polynomial(doc)
 
 
 @contextmanager
 def _schema_errors():
-    """Report a ValueError raised while parsing as a schema violation."""
+    """Report a library error raised while loading as a schema violation:
+    a ValueError, or a ConeCcpError such as an unknown builtin, a box with
+    lo > hi or a ``mu`` below its certified bound."""
     try:
         yield
-    except ValueError as exc:
+    except SchemaError:
+        raise
+    except (ValueError, ConeCcpError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -128,10 +129,7 @@ def _load_box(doc) -> FeasibleSet:
         arr = np.asarray(raw, dtype=float).reshape(-1, 2)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"box must be a list of [lo, hi] pairs: {exc}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError("box bounds must be finite")
-    if np.any(arr[:, 0] > arr[:, 1]):
-        raise SchemaError("box has lo > hi")
+    # FeasibleSet rejects non-finite bounds and lo > hi
     return FeasibleSet(arr[:, 0], arr[:, 1])
 
 
@@ -148,12 +146,9 @@ def _symmetric(raw, name, order=None):
     return 0.5 * (M + M.T)
 
 
-def _load_builtin(doc) -> ProblemInstance:
+def _load_builtin(doc):
     name = _require(doc, "name", str)
-    try:
-        return builtin(name)
-    except Exception as exc:
-        raise SchemaError(str(exc)) from exc
+    return builtin(name), _BUILTIN_VIEWS.get(name)
 
 
 def _psd_quadratic(spec, dim, where):
@@ -206,7 +201,7 @@ def _quadratic_constraint(doc, d):
 
 
 def _load_quadratic(doc):
-    """The validated instance and its (C, B, A)."""
+    """The validated instance and its entrywise-DC view."""
     fs = _load_box(doc)
     d = fs.dim
     C, B, A = _quadratic_constraint(doc, d)
@@ -221,11 +216,12 @@ def _load_quadratic(doc):
         quadratic_matrix_map(C, B, A),
         hessian_bound=quadratic_hessian_bound(A),
         mu=doc["constraint"].get("mu"), box=(fs.lo, fs.hi))
-    return ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
+    inst = ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
                            objective=objective,
                            constraint=constraint,
                            feasible_set=fs,
-                           known_facts=doc.get("known_facts", {})), (C, B, A)
+                           known_facts=doc.get("known_facts", {}))
+    return inst, lambda: quadratic_componentwise(C, B, A)
 
 
 def _coeffs(raw, where):
@@ -247,7 +243,8 @@ def _convex_coeffs(spec, key, where, fs):
     return c
 
 
-def _load_polynomial(doc) -> ProblemInstance:
+def _load_polynomial(doc):
+    """The validated instance and its entrywise-DC view."""
     fs = _load_box(doc)
     if fs.dim != 1:
         raise SchemaError("scalar_dc_polynomial is univariate: box needs "
@@ -264,9 +261,10 @@ def _load_polynomial(doc) -> ProblemInstance:
             raise SchemaError(f"constraints[{k}] must be an object")
         g_coeffs.append(_convex_coeffs(row, "G", f"constraints[{k}]", fs))
         h_coeffs.append(_convex_coeffs(row, "H", f"constraints[{k}]", fs))
-    return ProblemInstance(
+    inst = ProblemInstance(
         name=doc.get("name", "scalar_dc_polynomial(file)"),
         objective=ScalarDcFunction(g0=g0, h0=h0, dim=1),
         constraint=polynomial_constraint_map(g_coeffs, h_coeffs),
         feasible_set=fs,
         known_facts=doc.get("known_facts", {}))
+    return inst, lambda: diagonal_componentwise(g_coeffs, h_coeffs)

@@ -4,7 +4,9 @@ import pytest
 from coneccp.certificates import (certify, criticality_residual,
                                   generalized_criticality_residual,
                                   infeasibility, kkt_residual)
-from coneccp.errors import InfeasibleStart
+from coneccp.ccp import run_ccp
+from coneccp.errors import ConeCcpError, InfeasibleStart
+from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.library import example29, quadratic_sdp, zero_oracle
 from coneccp.dc import ScalarDcFunction, quadratic_oracle
 from coneccp.library import ProblemInstance, polynomial_constraint_map
@@ -177,3 +179,37 @@ class TestCertify:
         assert cert.subproblem_gap <= 1e-8
         assert cert.kkt is not None and cert.kkt.stationarity <= 1e-9
         assert cert.slater is not None and cert.slater.holds
+
+
+ENTRY_POINTS = {
+    "run_ccp": run_ccp,
+    "run_penalty_ccp": lambda p, x: run_penalty_ccp(
+        p, x, PenaltyConfig(tau0=1.0, mu=2.0)),
+    "infeasibility": infeasibility,
+    "criticality_residual": criticality_residual,
+    "generalized_criticality_residual":
+        lambda p, x: generalized_criticality_residual(p, x, 1.0),
+    "kkt_residual": lambda p, x: kkt_residual(
+        p, x, [0.0] * p.feasible_set.dim, p.constraint.cone.identity()),
+    "certify": certify,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("make, x, got", [
+    (lambda: quadratic_sdp(0), [0.0], "dimension 2, got [0.0]"),
+    (example29, [1.0, 2.0], "dimension 1, got [1.0, 2.0]"),
+    (example29, [np.nan], "dimension 1, got [nan]"),
+    (example29, np.inf, "dimension 1, got [inf]"),
+], ids=["short", "long", "nan", "inf"])
+def test_entry_points_check_the_point(entry, make, x, got):
+    with pytest.raises(ConeCcpError) as err:
+        entry(make(), x)
+    assert not isinstance(err.value, InfeasibleStart)
+    assert str(err.value) == f"expected a finite point of {got}"
+
+
+def test_kkt_residual_checks_the_subgradient():
+    p = example29()
+    with pytest.raises(ConeCcpError, match=r"dimension 1, got \[0.0, 0.0\]"):
+        kkt_residual(p, [1.0], [0.0, 0.0], p.constraint.cone.identity())

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coneccp import dc, inner
+from coneccp import cli, dc, inner, problem_io
 from coneccp.cli import main
 from coneccp.errors import OracleCheckError, SchemaError
 from coneccp.library import ProblemInstance, builtin, quadratic_sdp
@@ -106,6 +109,58 @@ class TestSolveCommands:
             assert err.value.code == 64
 
 
+class TestParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "coneccp":
+                built.append(self)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli(capsys, "list", "builtins")[0] == 0
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["list", "builtins", "--no-such-flag"])
+        assert err.value.code == 64
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", "import coneccp.cli as c; "
+             "print(c.build_parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "0"
+
+
+class TestPointsAreChecked:
+    SMALL = ("--problem", str(DOCS / "quadratic_sdp_small.json"))
+    E29 = ("--builtin", "example29")
+    COMMANDS = (("solve", "ccp"), ("solve", "penalty-ccp"),
+                ("check", "criticality"), ("check", "generalized",
+                                           "--tau0", "1"),
+                ("decompose", "lambda-max", "--samples", "1"))
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("source, x0, got", [
+        (SMALL, "0", "dimension 2, got [0.0]"),
+        (E29, "1,2", "dimension 1, got [1.0, 2.0]"),
+        (E29, "nan", "dimension 1, got [nan]"),
+        (E29, "-inf", "dimension 1, got [-inf]"),
+    ], ids=["short", "long", "nan", "inf"])
+    def test_malformed_x0_exits_3(self, capsys, command, source, x0, got):
+        code, out, err = run_cli(capsys, *command, *source, f"--x0={x0}")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: expected a finite point of {got}\n"
+
+
 class TestSolveReportSchema:
     COMMON = ["problem", "algorithm", "termination", "iterations", "x", "f0",
               "infeas"]
@@ -150,6 +205,17 @@ class TestCheckCommands:
         assert report["residual"] <= 1e-8
         assert report["kkt"]["stationarity"] <= 1e-9
         assert report["slater"]["holds"]
+
+    @pytest.mark.parametrize("x0, known", [("-1", True), ("1", True),
+                                           ("-1.04", False)])
+    def test_known_multiplier_only_at_its_own_point(self, capsys, x0, known):
+        code, out, _ = run_cli(capsys, "check", "criticality", "--builtin",
+                               "example29", f"--x0={x0}", "--json")
+        assert code == 0
+        kkt = json.loads(out)["kkt"]
+        assert (kkt is not None) == known
+        if known:
+            assert kkt["stationarity"] <= 1e-9
 
     def test_criticality_infeasible_point_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "check", "criticality", "--builtin",
@@ -392,6 +458,43 @@ class TestProblemFiles:
             code, _, err = run_cli(capsys, *argv)
             assert code == 3
             assert fragment in err
+
+    def test_one_route_to_a_builtin(self, capsys):
+        unknown = "unknown builtin 'nope'"
+        for argv in (("solve", "ccp", "--x0", "0"),
+                     ("check", "criticality", "--x0", "0"),
+                     ("decompose", "lambda-max"),
+                     ("verify", "convexity")):
+            code, _, err = run_cli(capsys, *argv, "--builtin", "nope")
+            assert code == 3
+            assert unknown in err
+        for load in (load_problem, load_componentwise):
+            with pytest.raises(SchemaError, match=unknown):
+                load({"kind": "builtin", "name": "nope"})
+        with pytest.raises(SchemaError, match="entrywise decomposition needs"):
+            load_componentwise({"kind": "builtin", "name": "stiefel11"})
+
+    def test_library_errors_while_loading_are_schema_errors(self):
+        small = json.loads((DOCS / "quadratic_sdp_small.json").read_text())
+        for doc, message in (
+                (edited(small, ("constraint", "mu"), 1e-6),
+                 "below the certified threshold"),
+                (edited(small, ("box",), [[-3.0, 3.0], [3.0, -3.0]]),
+                 "box has lo > hi in some coordinate"),
+                (edited(small, ("box",), [[-3.0, 3.0], [0.0, float("inf")]]),
+                 "box bounds must be finite")):
+            for load in (load_problem, load_componentwise):
+                with pytest.raises(SchemaError, match=message):
+                    load(doc)
+
+    def test_load_problem_builds_no_entrywise_view(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("entrywise view built")
+
+        monkeypatch.setattr(problem_io, "quadratic_componentwise", refuse)
+        monkeypatch.setattr(problem_io, "diagonal_componentwise", refuse)
+        for name in EXAMPLES:
+            load_problem(DOCS / name)
 
     def test_componentwise_views(self):
         F, fs, _ = load_componentwise({"kind": "builtin", "name": "example29"})

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,5 +31,34 @@ def test_package_raises_real_exceptions():
     found = [f"{path.name}:{line}: {what}"
              for path in sorted(PACKAGE.glob("*.py"))
              for line, what in assertion_sites(path.read_text())]
+    if found:
+        pytest.fail("\n".join(found))
+
+
+def imported_roots(source):
+    """(line, top-level name) of each module a source imports absolutely."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_imported_roots_are_found():
+    source = ("import scipy.linalg\nfrom numpy import eye\nfrom . import lp\n"
+              "from .dc import x\nimport os, json\n")
+    assert [root for _, root in imported_roots(source)] == [
+        "scipy", "numpy", "os", "json"]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy as the only dependency; scipy is
+    # installed as a test oracle, so an import of it would pass every test
+    allowed = set(sys.stdlib_module_names) | {"numpy", "coneccp"}
+    found = [f"{path.name}:{line}: {root}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, root in imported_roots(path.read_text())
+             if root not in allowed]
     if found:
         pytest.fail("\n".join(found))
