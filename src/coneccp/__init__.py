@@ -20,12 +20,13 @@ from .certificates import (CriticalityCertificate, KktResiduals, certify,
 from .cones import (Cone, ConeElement, Orthant, ProductCone, PsdCone,
                     cone_from_descriptor, dist_to_neg_cone,
                     lambda_max_scalarize, project_pos, slack_cost)
+from .convexity import verify_k_convexity
 from .dc import (ComponentwiseDcMatrix, ConeDcMap, ConeDerivative,
                  ConvexOracle, KConvexOracle, ScalarDcFunction,
                  SmoothKConvexOracle, SmoothMatrixMap,
                  estimate_hessian_bound, lambda_max_dc_decomposition,
                  lambda_max_subgradient, offdiag_dc_extraction,
-                 regularized_dc_decomposition, verify_k_convexity)
+                 regularized_dc_decomposition)
 from .errors import (BoundTooSmall, ConeCcpError, InfeasibleStart,
                      InvalidElement, InvalidPenalty, InvariantViolation,
                      OracleCheckError, SchemaError, SubproblemInfeasible)

@@ -11,8 +11,8 @@ Subcommands:
     list builtins        names accepted by --builtin
 
 Exit codes: 0 success, 2 infeasible start (solve ccp), 3 schema/problem-file
-error or malformed --x0, 4 iteration limit (outer loop or inner solver), 64
-usage error.
+error, malformed --x0, negative --max-iter or out-of-range --samples, 4
+iteration limit (outer loop or inner solver), 64 usage error.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import ccp, certificates, penalty
-from .dc import lambda_max_dc_decomposition, lambda_max_subgradient, \
-    verify_k_convexity
+from .convexity import verify_k_convexity
+from .dc import lambda_max_dc_decomposition, lambda_max_subgradient
 from .errors import ConeCcpError, InfeasibleStart, SchemaError
 from .feasible import as_point
 from .library import BUILTINS
@@ -236,16 +236,17 @@ def _cmd_check(args) -> int:
 
 
 def _known_multiplier(problem, x):
-    mults = problem.known_facts.get("multipliers")
-    if not isinstance(mults, dict) or x.size != 1:
+    if x.size != 1:
         return None
-    lam = mults.get(str(float(x[0])))
+    lam = problem.known_facts.get("multipliers", {}).get(str(float(x[0])))
     if lam is None:
         return None
     return problem.constraint.cone.element(np.array([float(lam)]))
 
 
 def _cmd_decompose(args) -> int:
+    if args.samples < 0:
+        raise ConeCcpError(f"--samples must be nonnegative, got {args.samples}")
     F, fs, name = load_componentwise(_source(args))
     x0 = None if args.x0 is None else as_point(_parse_x0(args.x0), F.dim)
     split = lambda_max_dc_decomposition(F)

@@ -3,8 +3,8 @@
 Contains the oracle types for scalar DC objectives and cone-convex constraint
 maps, the quadratic-regularizer DC split of a smooth matrix-valued map, the
 DC decomposition of the largest-eigenvalue function of a componentwise-DC
-matrix, subgradient formulas for that decomposition, and a randomized
-checker for convexity with respect to a cone order.
+matrix, and subgradient formulas for that decomposition.  The randomized
+cone-convexity checker that self checks run is in :mod:`coneccp.convexity`.
 
 Oracles must be pure functions of their arguments; everything built from them
 is then safe for concurrent use.
@@ -20,7 +20,10 @@ from typing import Callable
 
 import numpy as np
 
+# lambda_max_scalarize is not called here, but the benchmark's tracer
+# (solverbench/layers.py) counts its calls by patching dc.lambda_max_scalarize
 from .cones import (Cone, ConeElement, PsdCone, lambda_max_scalarize)
+from .convexity import verify_k_convexity
 from .errors import BoundTooSmall, OracleCheckError
 
 log = logging.getLogger(__name__)
@@ -30,7 +33,6 @@ OBJECTIVE_CHECK_SAMPLES = 40
 OBJECTIVE_CHECK_RTOL = 1e-9
 MAP_CHECK_SAMPLES = 200
 DERIVATIVE_CHECK_SAMPLES = 10
-CONVEXITY_TOL = 1e-9
 # Hessian estimation: sample points, finite-difference step, inflation.
 HESSIAN_SAMPLES = 25
 HESSIAN_STEP = 1e-4
@@ -481,76 +483,3 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
                      G=KConvexOracle(g_value, g_qf_subgrad),
                      H=SmoothKConvexOracle(h_value, h_derivative),
                      dim=F.dim, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# Randomized cone-convexity verification
-
-
-@dataclass(frozen=True)
-class ConvexityWitness:
-    x1: np.ndarray
-    x2: np.ndarray
-    alpha: float | None  # None when found through the derivative test
-    block: int
-    z: np.ndarray
-    violation: float
-
-
-@dataclass(frozen=True)
-class ConvexityVerdict:
-    passed: bool
-    witness: ConvexityWitness | None
-    samples: int
-
-
-def convexity_gap(map_oracle, x1, x2, alpha) -> ConeElement:
-    """alpha F(x1) + (1-alpha) F(x2) - F(alpha x1 + (1-alpha) x2)."""
-    return _midpoint_gap(map_oracle, x1, x2, map_oracle.value(x1),
-                         map_oracle.value(x2), alpha)
-
-
-def _midpoint_gap(map_oracle, x1, x2, f1, f2, alpha) -> ConeElement:
-    """convexity_gap with F(x1) = f1 and F(x2) = f2 already evaluated."""
-    mid = alpha * x1 + (1.0 - alpha) * x2
-    return f1.scale(alpha) + f2.scale(1.0 - alpha) - map_oracle.value(mid)
-
-
-def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
-                       seed=0) -> ConvexityVerdict:
-    """Randomized convexity check with respect to the cone order.
-
-    When the oracle exposes a derivative the gradient inequality
-    F(x1) - F(x2) >=_K DF(x2)(x1 - x2) is sampled; otherwise midpoint
-    inequalities with alpha in {0.25, 0.5, 0.75} and one uniform draw per
-    pair.  Violations are measured by the largest eigenvalue of the negated
-    gap; the first violation beyond ``CONVEXITY_TOL`` is returned as a
-    concrete witness.  Passing is evidence, not proof: sampling is sound but
-    incomplete.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = box
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    use_derivative = callable(getattr(map_oracle, "derivative", None))
-
-    for _ in range(samples):
-        x1 = rng.uniform(lo, hi)
-        x2 = rng.uniform(lo, hi)
-        if use_derivative:
-            gap = (map_oracle.value(x1) - map_oracle.value(x2)
-                   - map_oracle.derivative(x2).apply(x1 - x2))
-            sc = lambda_max_scalarize(-gap)
-            if sc.value > CONVEXITY_TOL:
-                return ConvexityVerdict(False, ConvexityWitness(
-                    x1, x2, None, sc.block, sc.vector, sc.value), samples)
-        else:
-            alphas = (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0)))
-            f1, f2 = map_oracle.value(x1), map_oracle.value(x2)
-            for alpha in alphas:
-                gap = _midpoint_gap(map_oracle, x1, x2, f1, f2, alpha)
-                sc = lambda_max_scalarize(-gap)
-                if sc.value > CONVEXITY_TOL:
-                    return ConvexityVerdict(False, ConvexityWitness(
-                        x1, x2, alpha, sc.block, sc.vector, sc.value), samples)
-    return ConvexityVerdict(True, None, samples)

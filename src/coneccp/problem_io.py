@@ -14,6 +14,8 @@ of a ``scalar_dc_polynomial`` file by
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -125,12 +127,32 @@ def _require(doc, key, typ, where="problem file"):
 
 def _load_box(doc) -> FeasibleSet:
     raw = _require(doc, "box", list)
+    shape = "box must be a non-empty list of [lo, hi] pairs"
     try:
-        arr = np.asarray(raw, dtype=float).reshape(-1, 2)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"box must be a list of [lo, hi] pairs: {exc}")
+        raise SchemaError(f"{shape}: {exc}") from None
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2:
+        raise SchemaError(f"{shape}, got shape {arr.shape}")
     # FeasibleSet rejects non-finite bounds and lo > hi
     return FeasibleSet(arr[:, 0], arr[:, 1])
+
+
+def _known_facts(doc) -> dict:
+    """The optional ``known_facts`` object; its ``multipliers``, if given,
+    map points (as strings) to finite numbers."""
+    facts = doc.get("known_facts", {})
+    if not isinstance(facts, dict):
+        raise SchemaError("known_facts must be an object")
+    mults = facts.get("multipliers", {})
+    if not isinstance(mults, dict):
+        raise SchemaError("known_facts.multipliers must be an object")
+    for key, val in mults.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) \
+                or not math.isfinite(val):
+            raise SchemaError(f"known_facts.multipliers[{key!r}] must be a "
+                              f"finite number, got {val!r}")
+    return facts
 
 
 def _symmetric(raw, name, order=None):
@@ -220,7 +242,7 @@ def _load_quadratic(doc):
                            objective=objective,
                            constraint=constraint,
                            feasible_set=fs,
-                           known_facts=doc.get("known_facts", {}))
+                           known_facts=_known_facts(doc))
     return inst, lambda: quadratic_componentwise(C, B, A)
 
 
@@ -266,5 +288,5 @@ def _load_polynomial(doc):
         objective=ScalarDcFunction(g0=g0, h0=h0, dim=1),
         constraint=polynomial_constraint_map(g_coeffs, h_coeffs),
         feasible_set=fs,
-        known_facts=doc.get("known_facts", {}))
+        known_facts=_known_facts(doc))
     return inst, lambda: diagonal_componentwise(g_coeffs, h_coeffs)

@@ -160,3 +160,45 @@ def bisect_root_reference(phi, outside, inside, iters=200):
         else:
             outside = m
     return inside
+
+
+# ---------------------------------------------------------------------------
+# The cone-convexity check as first written: one sample at a time, each gap
+# built from ConeElement arithmetic and scalarized by its own
+# lambda_max_scalarize.  The chunked coneccp.convexity.verify_k_convexity
+# must return the same verdict and witness bit for bit.
+
+
+def verify_k_convexity_reference(map_oracle, cone, samples, box, seed=0):
+    from coneccp.cones import lambda_max_scalarize
+    from coneccp.convexity import (CONVEXITY_TOL, ConvexityVerdict,
+                                   ConvexityWitness)
+
+    rng = np.random.default_rng(seed)
+    lo, hi = box
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    use_derivative = callable(getattr(map_oracle, "derivative", None))
+
+    for _ in range(samples):
+        x1 = rng.uniform(lo, hi)
+        x2 = rng.uniform(lo, hi)
+        if use_derivative:
+            gap = (map_oracle.value(x1) - map_oracle.value(x2)
+                   - map_oracle.derivative(x2).apply(x1 - x2))
+            sc = lambda_max_scalarize(-gap)
+            if sc.value > CONVEXITY_TOL:
+                return ConvexityVerdict(False, ConvexityWitness(
+                    x1, x2, None, sc.block, sc.vector, sc.value), samples)
+        else:
+            alphas = (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0)))
+            f1, f2 = map_oracle.value(x1), map_oracle.value(x2)
+            for alpha in alphas:
+                mid = alpha * x1 + (1.0 - alpha) * x2
+                gap = (f1.scale(alpha) + f2.scale(1.0 - alpha)
+                       - map_oracle.value(mid))
+                sc = lambda_max_scalarize(-gap)
+                if sc.value > CONVEXITY_TOL:
+                    return ConvexityVerdict(False, ConvexityWitness(
+                        x1, x2, alpha, sc.block, sc.vector, sc.value), samples)
+    return ConvexityVerdict(True, None, samples)

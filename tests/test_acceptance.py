@@ -14,8 +14,9 @@ from coneccp import inner, penalty
 from coneccp.ccp import CcpConfig, check_strong_descent, run_ccp
 from coneccp.certificates import criticality_residual, kkt_residual
 from coneccp.cones import PsdCone, inner as cone_inner, project_pos
+from coneccp.convexity import verify_k_convexity
 from coneccp.dc import (lambda_max_dc_decomposition, lambda_max_subgradient,
-                        regularized_dc_decomposition, verify_k_convexity)
+                        regularized_dc_decomposition)
 from coneccp.feasible import box
 from coneccp.library import (example29, nonconvex_witness, quadratic_sdp,
                              random_componentwise_dc, stiefel,

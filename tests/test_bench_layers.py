@@ -66,9 +66,13 @@ def test_tracer_counts_every_layer():
             for argv in (["check", "criticality", "--builtin", "example29",
                           "--x0", "1"],
                          ["decompose", "lambda-max", "--builtin", "example29",
+                          "--samples", "2"],
+                         ["verify", "convexity", "--builtin", "example29",
                           "--samples", "2"]):
                 assert mods.cli.main(argv) == 0
         metrics = tracer.metrics()
+        dc_spans = {name for _, _, layer, name, *_ in tracer.spans
+                    if layer == "dc"}
     assert _coneccp_modules() == before
     counts = ("outer.runs", "outer.iterations", "subproblem.builds",
               "inner.solves", "inner.kelley_solves", "inner.bisect_solves",
@@ -76,6 +80,9 @@ def test_tracer_counts_every_layer():
               "oracle.calls", "cones.scalarize_calls", "certificates.calls",
               "dc.calls", "problem_io.loads")
     assert {k: metrics[k] for k in counts if not metrics[k] > 0} == {}
+    # a verify command routed around cli.verify_k_convexity would leave dc.ms
+    # without its largest term
+    assert "verify_k_convexity" in dc_spans
 
 
 def test_lp_hooks_see_every_master(monkeypatch):

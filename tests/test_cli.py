@@ -252,6 +252,29 @@ class TestDecomposeAndVerify:
         report = json.loads(out)
         assert report["G"]["passed"] and report["H"]["passed"]
 
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_verify_with_no_samples_exits_3(self, capsys, samples):
+        # a check of nothing must not read as passed
+        code, out, err = run_cli(capsys, "verify", "convexity", "--builtin",
+                                 "example29", "--samples", samples, "--json")
+        assert code == 3
+        assert out == ""
+        assert f"samples must be a positive integer, got {samples}" in err
+
+    @pytest.mark.parametrize("samples, code", [("-3", 3), ("-1", 3),
+                                               ("0", 0)])
+    def test_decompose_rejects_a_negative_sample_count(self, capsys, samples,
+                                                       code):
+        got, out, err = run_cli(capsys, "decompose", "lambda-max",
+                                "--builtin", "example29", "--samples",
+                                samples, "--json")
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert "--samples must be nonnegative" in err
+        else:
+            assert json.loads(out)["samples"] == []
+
     def test_list_builtins(self, capsys):
         code, out, _ = run_cli(capsys, "list", "builtins")
         assert code == 0
@@ -486,6 +509,49 @@ class TestProblemFiles:
             for load in (load_problem, load_componentwise):
                 with pytest.raises(SchemaError, match=message):
                     load(doc)
+
+    @pytest.mark.parametrize("facts, fragment", [
+        ([1], "known_facts must be an object"),
+        ({"multipliers": {"1.0": "x"}},
+         "known_facts.multipliers['1.0'] must be a finite number"),
+        ({"multipliers": {"1.0": True}},
+         "known_facts.multipliers['1.0'] must be a finite number"),
+        ({"multipliers": {"1.0": float("nan")}},
+         "known_facts.multipliers['1.0'] must be a finite number"),
+        ({"multipliers": [0.5]}, "known_facts.multipliers must be an object"),
+    ])
+    def test_known_facts_are_validated(self, capsys, facts, fragment):
+        quartic = json.loads((DOCS / "polynomial_quartic.json").read_text())
+        text = json.dumps(edited(quartic, ("known_facts",), facts))
+        code, out, err = run_cli(capsys, "check", "criticality", "--problem",
+                                 text, "--x0", "1")
+        assert code == 3
+        assert out == ""
+        assert fragment in err
+
+    def test_known_multiplier_from_a_file(self, capsys):
+        quartic = json.loads((DOCS / "polynomial_quartic.json").read_text())
+        doc = edited(quartic, ("known_facts", "multipliers"), {"1.0": 0.5})
+        code, out, _ = run_cli(capsys, "check", "criticality", "--problem",
+                               json.dumps(doc), "--x0", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["kkt"] is not None
+
+    @pytest.mark.parametrize("box", [
+        [-3.0, 3.0, -3.0, 3.0],
+        [],
+        [[-3.0, 3.0, -3.0], [3.0, -3.0, 3.0]],
+        [[-3.0, 3.0], [-3.0]],
+        [[[-3.0, 3.0]], [[-3.0, 3.0]]],
+    ])
+    def test_box_is_a_list_of_pairs(self, capsys, box):
+        small = json.loads((DOCS / "quadratic_sdp_small.json").read_text())
+        text = json.dumps(edited(small, ("box",), box))
+        code, out, err = run_cli(capsys, "solve", "ccp", "--problem", text,
+                                 "--x0", "0,0")
+        assert code == 3
+        assert out == ""
+        assert "box must be a non-empty list of [lo, hi] pairs" in err
 
     def test_load_problem_builds_no_entrywise_view(self, monkeypatch):
         def refuse(*args):

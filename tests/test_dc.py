@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coneccp.cones import PsdCone
-from coneccp.dc import (ComponentwiseDcMatrix, ConvexOracle, KConvexOracle,
-                        check_derivative_consistency, convexity_gap,
+from coneccp.cones import Orthant, ProductCone, PsdCone
+from coneccp.convexity import (VERIFY_CHUNK, convexity_gap,
+                               verify_k_convexity)
+from coneccp.dc import (ComponentwiseDcMatrix, ConeDerivative, ConvexOracle,
+                        KConvexOracle, check_derivative_consistency,
                         estimate_hessian_bound, lambda_max_dc_decomposition,
                         lambda_max_subgradient, offdiag_dc_extraction,
                         quadratic_oracle, regularized_dc_decomposition,
-                        verify_k_convexity, zero_oracle)
-from coneccp.errors import BoundTooSmall, OracleCheckError
+                        zero_oracle)
+from coneccp.errors import BoundTooSmall, ConeCcpError, OracleCheckError
 from coneccp.library import (nonconvex_witness, quadratic_matrix_map,
                              random_componentwise_dc, stiefel)
+from oracles import verify_k_convexity_reference
 
 BOX1 = (np.array([-2.0]), np.array([2.0]))
 
@@ -358,3 +363,248 @@ class TestSelfChecks:
                                dim=1, strong_convexity_of_h=1.0)
         with pytest.raises(OracleCheckError):
             bad.self_check(BOX1)
+
+
+# ---------------------------------------------------------------------------
+# The chunked convexity check against the one-sample-at-a-time loop
+
+
+class QuadraticTestMap:
+    """x -> C + sum_i x_i B_i + sum_ij x_i x_j A_ij per block, plus an
+    optional smooth bump h * max(0, 1 - |x - p|^2 / r^2)^2 on one diagonal
+    entry (or component) of one block, which breaks convexity only within r
+    of p.  ``derivative`` is set only when asked for, so both branches of the
+    check can be reached."""
+
+    def __init__(self, cone, data, with_derivative, bump=None):
+        self.cone, self.data, self.bump = cone, data, bump
+        if with_derivative:
+            self.derivative = self._derivative
+
+    def _bump(self, x):
+        """(value, gradient) of the bump's profile, or None outside it."""
+        if self.bump is None:
+            return None
+        p, r, _, height = self.bump
+        t = 1.0 - float((x - p) @ (x - p)) / (r * r)
+        if t <= 0.0:
+            return None
+        return height * t * t, -4.0 * height * t * (x - p) / (r * r)
+
+    def _indicator(self, k):
+        block = np.zeros(self.data[k][0].shape)
+        block[(0,) * block.ndim] = 1.0
+        return block
+
+    def value(self, x):
+        blocks = [C + np.tensordot(x, B, 1) + np.tensordot(x, np.tensordot(
+            x, A, 1), 1) for C, B, A in self.data]
+        bump = self._bump(x)
+        if bump is not None:
+            blocks[self.bump[2]] = blocks[self.bump[2]] \
+                + bump[0] * self._indicator(self.bump[2])
+        return self.cone.element(tuple(blocks))
+
+    def _derivative(self, x):
+        arrs = [B + 2.0 * np.tensordot(x, A, axes=(0, 1))
+                for C, B, A in self.data]
+        bump = self._bump(x)
+        if bump is not None:
+            k = self.bump[2]
+            arrs[k] = arrs[k] + np.multiply.outer(bump[1], self._indicator(k))
+        return ConeDerivative(self.cone, tuple(arrs))
+
+
+def quadratic_test_data(cone, d, rng, convex):
+    """Per block (C, B, A) with A_ij = sign * sum_r u_ri u_rj S_r, S_r PSD:
+    matrix-convex for sign +1, concave along u for sign -1."""
+    sign = 1.0 if convex else -1.0
+    data = []
+    for leaf in cone.leaves():
+        shape = ((leaf.order, leaf.order) if isinstance(leaf, PsdCone)
+                 else (leaf.dim,))
+        C = rng.normal(size=shape)
+        B = rng.normal(size=(d,) + shape)
+        A = np.zeros((d, d) + shape)
+        for _ in range(2):
+            u = rng.normal(size=d)
+            if len(shape) == 2:
+                W = rng.normal(size=shape)
+                S = W @ W.T
+            else:
+                S = rng.uniform(0.1, 1.0, shape)
+            A += sign * np.multiply.outer(np.outer(u, u), S)
+        if len(shape) == 2:
+            C = 0.5 * (C + C.T)
+            B = 0.5 * (B + np.swapaxes(B, 1, 2))
+            A = 0.5 * (A + np.swapaxes(A, 2, 3))
+        data.append((C, B, A))
+    return data
+
+
+def sample_points(samples, box, seed, with_derivative):
+    """The (x1, x2, points evaluated) of each sample, drawn as the check
+    draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        x1, x2 = rng.uniform(*box), rng.uniform(*box)
+        if with_derivative:
+            out.append((x1, x2, [x1, x2]))
+        else:
+            alphas = (0.25, 0.5, 0.75, float(rng.uniform(0.0, 1.0)))
+            out.append((x1, x2, [x1, x2] + [a * x1 + (1.0 - a) * x2
+                                            for a in alphas]))
+    return out
+
+
+def same_verdict(a, b):
+    if (a.passed, a.samples) != (b.passed, b.samples):
+        return False
+    if a.witness is None or b.witness is None:
+        return a.witness is None and b.witness is None
+    wa, wb = a.witness, b.witness
+    return (wa.x1.tobytes() == wb.x1.tobytes()
+            and wa.x2.tobytes() == wb.x2.tobytes()
+            and wa.alpha == wb.alpha and type(wa.alpha) is type(wb.alpha)
+            and wa.block == wb.block and type(wa.block) is type(wb.block)
+            and wa.z.tobytes() == wb.z.tobytes()
+            and not wa.z.flags.writeable and not wb.z.flags.writeable
+            and wa.violation == wb.violation
+            and type(wa.violation) is type(wb.violation))
+
+
+TEST_CONES = (PsdCone(1), PsdCone(2), PsdCone(3), Orthant(1), Orthant(3),
+              ProductCone((PsdCone(2), Orthant(2))),
+              ProductCone((Orthant(1), PsdCone(1), PsdCone(3))))
+
+
+class TestChunkedConvexityCheck:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(cone=st.sampled_from(TEST_CONES), d=st.integers(1, 3),
+           with_derivative=st.booleans(),
+           samples=st.sampled_from((1, 64, 65, 197)),
+           kind=st.sampled_from(("convex", "nonconvex", "planted")),
+           data_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+           planted_at=st.floats(0.0, 1.0, exclude_max=True))
+    def test_matches_one_sample_at_a_time(self, cone, d, with_derivative,
+                                          samples, kind, data_seed, seed,
+                                          planted_at):
+        rng = np.random.default_rng(data_seed)
+        data = quadratic_test_data(cone, d, rng, convex=kind != "nonconvex")
+        box = (rng.uniform(-2.0, 0.0, d), rng.uniform(0.5, 2.0, d))
+        bump = k = None
+        if kind == "planted":
+            # a tall bump at the gap's second point (derivative) or its
+            # alpha = 1/2 midpoint, narrower than the distance to every other
+            # point evaluated up to then: the first violation is sample k
+            k = int(planted_at * samples)
+            points = sample_points(k + 1, box, seed, with_derivative)
+            p = points[k][2][1 if with_derivative else 3]
+            others = [q for _, _, qs in points for q in qs
+                      if q.tobytes() != p.tobytes()]
+            r = 0.5 * min(float(np.linalg.norm(q - p)) for q in others)
+            bump = (p, r, int(rng.integers(len(data))), 1e4)
+        F = QuadraticTestMap(cone, data, with_derivative, bump)
+        got = verify_k_convexity(F, cone, samples, box, seed=seed)
+        want = verify_k_convexity_reference(F, cone, samples, box, seed=seed)
+        assert same_verdict(got, want)
+        if kind == "convex":
+            assert want.passed
+        if kind == "planted":
+            x1, x2, _ = points[k]
+            assert not want.passed
+            assert want.witness.x1.tobytes() == x1.tobytes()
+            assert want.witness.x2.tobytes() == x2.tobytes()
+            assert want.witness.alpha == (None if with_derivative else 0.5)
+
+    def test_violation_in_a_later_chunk(self):
+        # samples 0..129 pass; the first violation is sample 130, in the
+        # third chunk, found with the same witness as the loop finds it
+        cone, box = ProductCone((PsdCone(2), Orthant(2))), BOX1
+        data = quadratic_test_data(cone, 1, np.random.default_rng(5), True)
+        for with_derivative in (True, False):
+            points = sample_points(131, box, 9, with_derivative)
+            p = points[130][2][1 if with_derivative else 3]
+            r = 0.5 * min(abs(float(q[0] - p[0])) for _, _, qs in points
+                          for q in qs if q.tobytes() != p.tobytes())
+            F = QuadraticTestMap(cone, data, with_derivative, (p, r, 1, 1e4))
+            got = verify_k_convexity(F, cone, 197, box, seed=9)
+            want = verify_k_convexity_reference(F, cone, 197, box, seed=9)
+            assert same_verdict(got, want)
+            assert got.witness.x1.tobytes() == points[130][0].tobytes()
+            assert got.witness.block == 1
+
+    def test_ties_go_to_the_first_block_and_component(self):
+        # twin blocks (and twin orthant components) tie exactly, and the
+        # witness names the first of them, as lambda_max_scalarize does
+        rng = np.random.default_rng(3)
+        (C, B, A), = quadratic_test_data(Orthant(1), 2, rng, convex=False)
+        twin = (np.repeat(C, 2), np.repeat(B, 2, axis=-1),
+                np.repeat(A, 2, axis=-1))
+        psd, = quadratic_test_data(PsdCone(2), 2, rng, convex=False)
+        box = (-np.ones(2), np.ones(2))
+        for cone, data in ((ProductCone((Orthant(2), Orthant(2))),
+                            [twin, twin]),
+                           (ProductCone((PsdCone(2), PsdCone(2))),
+                            [psd, psd])):
+            for with_derivative in (True, False):
+                F = QuadraticTestMap(cone, data, with_derivative)
+                got = verify_k_convexity(F, cone, 100, box, seed=2)
+                want = verify_k_convexity_reference(F, cone, 100, box, seed=2)
+                assert same_verdict(got, want)
+                assert got.witness.block == 0
+                if isinstance(cone.parts[0], Orthant):
+                    assert got.witness.z.tolist() == [1.0, 0.0]
+
+    def test_stops_after_the_chunk_of_the_first_violation(self):
+        # x -> -x^2 on the orthant fails at the first sample, so a check of
+        # 1000 samples evaluates the map at one chunk's points only
+        cone = Orthant(1)
+        for with_derivative in (True, False):
+            calls = {"value": 0, "derivative": 0}
+
+            class Concave:
+                @staticmethod
+                def value(x):
+                    calls["value"] += 1
+                    return cone.element(np.array([-float(x @ x)]))
+
+            if with_derivative:
+                def derivative(x):
+                    calls["derivative"] += 1
+                    return ConeDerivative(cone, (-2.0 * x[:, None],))
+                Concave.derivative = staticmethod(derivative)
+
+            got = verify_k_convexity(Concave, cone, 1000, BOX1, seed=0)
+            per_sample = 2 if with_derivative else 6
+            assert calls["value"] == per_sample * VERIFY_CHUNK
+            assert calls["derivative"] == (VERIFY_CHUNK if with_derivative
+                                           else 0)
+            want = verify_k_convexity_reference(Concave, cone, 1000, BOX1,
+                                                seed=0)
+            assert same_verdict(got, want)
+            first = sample_points(1, BOX1, 0, with_derivative)[0]
+            assert got.witness.x1.tobytes() == first[0].tobytes()
+
+    @pytest.mark.parametrize("samples", [0, -3, True, False, 2.0, "5", None])
+    def test_a_check_of_nothing_is_refused(self, samples):
+        with pytest.raises(ConeCcpError, match="samples must be a positive"):
+            verify_k_convexity(nonconvex_witness(), PsdCone(2), samples,
+                               BOX1)
+
+    @pytest.mark.parametrize("box", [
+        (np.array([2.0]), np.array([-2.0])),
+        (np.array([-2.0]), np.array([np.inf])),
+        (np.array([np.nan]), np.array([2.0])),
+    ])
+    def test_a_box_that_cannot_be_sampled_is_refused(self, box):
+        with pytest.raises(ConeCcpError, match="box must be finite"):
+            verify_k_convexity(nonconvex_witness(), PsdCone(2), 10, box)
+
+    def test_integer_types_accepted(self):
+        for samples in (1, np.int64(3)):
+            verdict = verify_k_convexity(nonconvex_witness(), PsdCone(2),
+                                         samples, BOX1, seed=0)
+            assert verdict.samples == samples

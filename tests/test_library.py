@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
-from coneccp.dc import verify_k_convexity
+from coneccp.convexity import verify_k_convexity
 from coneccp.errors import ConeCcpError, InvalidElement, SchemaError
 from coneccp.library import (CURVATURE_RTOL, builtin, example29,
                              nonconvex_witness, polynomial_constraint_map,
