@@ -7,7 +7,9 @@ functions of immutable inputs, so elements are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -33,10 +35,17 @@ class Cone:
 
         Every block is checked (finite, right shape, PSD blocks symmetric to
         ``SYM_RTOL``) and stored as a frozen copy, so the element never
-        aliases the caller's arrays.  A PSD block that is already exactly
-        symmetric skips the asymmetry norms and the symmetrization, which
-        would return it unchanged; the checks themselves always run, since
-        oracle outputs come from callers' code and problem files.
+        aliases the caller's arrays.  The checks always run, since oracle
+        outputs come from callers' code and problem files, but two exact
+        prefilters pass a valid block cheaply; neither ever rejects:
+
+        - finite when ``math.isfinite(np.vdot(a, a))``: a finite sum of
+          squares has only finite terms, and ``vdot`` does not warn when it
+          overflows.  Otherwise ``np.isfinite(a).all()`` decides.
+        - symmetric when ``a.tobytes() == a.T.tobytes()``.  Otherwise
+          ``(a == a.T).all()`` decides, so mirrored -0.0 and 0.0 still pass
+          unchanged.  A block that is not exactly symmetric is measured
+          against ``SYM_RTOL`` and symmetrized.
         """
         blocks = _as_blocks(self, blocks)
         return ConeElement(self, blocks)
@@ -103,12 +112,11 @@ class ProductCone(Cone):
         if not self.parts:
             raise InvalidElement("product cone needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "_leaves", tuple(
+            leaf for p in self.parts for leaf in p.leaves()))
 
     def leaves(self):
-        out: list[Cone] = []
-        for p in self.parts:
-            out.extend(p.leaves())
-        return tuple(out)
+        return self._leaves
 
     @property
     def ambient_dim(self):
@@ -149,6 +157,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=16)
+def _eye(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per size (of the last 16)."""
+    return _freeze(np.eye(n))
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh`` of a PSD block, as read-only arrays.  An order-1
+    block is read off: LAPACK's dsyevd returns W(1) = A(1,1) and the
+    eigenvector 1 for it, and so does this, bit for bit."""
+    if len(a) == 1:
+        return _freeze(a[0]), _eye(1)
+    w, v = np.linalg.eigh(a)
+    return _freeze(w), _freeze(v)
+
+
 def _as_blocks(cone: Cone, blocks) -> tuple[np.ndarray, ...]:
     leaves = cone.leaves()
     if isinstance(blocks, np.ndarray) and len(leaves) == 1:
@@ -160,13 +184,13 @@ def _as_blocks(cone: Cone, blocks) -> tuple[np.ndarray, ...]:
     out = []
     for leaf, raw in zip(leaves, blocks):
         a = np.asarray(raw, dtype=float)
-        if not np.isfinite(a).all():
+        if not (math.isfinite(np.vdot(a, a)) or np.isfinite(a).all()):
             raise InvalidElement("non-finite entries in cone element")
         if isinstance(leaf, PsdCone):
             if a.shape != (leaf.order, leaf.order):
                 raise InvalidElement(
                     f"psd block must be {leaf.order}x{leaf.order}, got {a.shape}")
-            if not (a == a.T).all():
+            if a.tobytes() != a.T.tobytes() and not (a == a.T).all():
                 # measured on a copy scaled by the largest entry and
                 # symmetrized half by half, so nothing overflows near the
                 # float limit
@@ -265,12 +289,12 @@ def eigenpairs(y: ConeElement):
     for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
         if isinstance(leaf, PsdCone):
             try:
-                w, v = np.linalg.eigh(a)
+                w, v = _eigh(a)
             except np.linalg.LinAlgError as exc:
                 raise InvalidElement(f"eigendecomposition failed: {exc}") from exc
-            yield k, _freeze(w), _freeze(v)
+            yield k, w, v
         else:
-            yield k, a, _freeze(np.eye(a.size))
+            yield k, a, _eye(a.size)
 
 
 @dataclass(frozen=True)
@@ -287,7 +311,7 @@ def lambda_max_scalarize(y: ConeElement) -> Scalarization:
     best: Scalarization | None = None
     for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
         if isinstance(leaf, PsdCone):
-            w, v = np.linalg.eigh(a)
+            w, v = _eigh(a)
             val, vec = float(w[-1]), v[:, -1].copy()
         else:
             i = int(np.argmax(a))

@@ -60,9 +60,9 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
     gap (the largest component on orthant blocks, the first block on ties);
     the first violation beyond ``CONVEXITY_TOL`` in draw order is returned
     as a concrete witness.  Passing is evidence, not proof: sampling is sound
-    but incomplete.  ``samples`` must be a positive integer and ``box`` a
-    pair (lo, hi) of finite 1-d arrays with lo <= hi, else
-    :class:`ConeCcpError`.
+    but incomplete.  ``samples`` must be a positive integer, ``box`` a pair
+    (lo, hi) of finite 1-d arrays with lo <= hi, and the map's first value
+    must have the leaves of ``cone``, else :class:`ConeCcpError`.
 
     Samples are processed ``VERIFY_CHUNK`` at a time: one draw of the
     chunk's uniforms, one oracle call per point, then the gaps and their
@@ -85,6 +85,7 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
         raise ConeCcpError("box must be finite with lo <= hi")
     d = lo.size
     use_derivative = callable(getattr(map_oracle, "derivative", None))
+    check = cone
 
     for start in range(0, samples, VERIFY_CHUNK):
         n = min(VERIFY_CHUNK, samples - start)
@@ -98,7 +99,8 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
             alphas = np.empty((n, len(MIDPOINT_ALPHAS) + 1))
             alphas[:, :-1] = MIDPOINT_ALPHAS
             alphas[:, -1] = u[:, 2 * d]  # uniform(0, 1) = 0.0 + 1.0 * u
-        tops = [_top(a) for a in _neg_gaps(map_oracle, x1, x2, alphas)]
+        tops = [_top(a) for a in _neg_gaps(map_oracle, x1, x2, alphas, check)]
+        check = None  # only the first value is checked
         value, block = tops[0][0], np.zeros(tops[0][0].shape, dtype=int)
         for k, (val, _) in enumerate(tops[1:], 1):
             # a strict comparison keeps the first block on ties
@@ -118,13 +120,14 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
     return ConvexityVerdict(True, None, samples)
 
 
-def _neg_gaps(map_oracle, x1, x2, alphas):
+def _neg_gaps(map_oracle, x1, x2, alphas, cone=None):
     """Per block, the negated gaps of every sample, stacked with shape
     (samples, tests, ...): -(F(x1) - F(x2) - DF(x2)(x1 - x2)) when alphas is
     None, else -convexity_gap at each alpha of the sample's row.
 
     The map is evaluated point by point, in the order one sample at a time
-    would evaluate it, straight into the stacked arrays.
+    would evaluate it, straight into the stacked arrays.  Unless ``cone`` is
+    None, a first value whose leaves are not the cone's is refused.
     """
     if alphas is None:
         points = np.stack((x1, x2), axis=1)
@@ -135,8 +138,13 @@ def _neg_gaps(map_oracle, x1, x2, alphas):
     vals = dvs = None
     for i, row in enumerate(points):
         for j, x in enumerate(row):
-            blocks = map_oracle.value(x).blocks
+            value = map_oracle.value(x)
+            blocks = value.blocks
             if vals is None:
+                if cone is not None and value.cone.leaves() != cone.leaves():
+                    raise ConeCcpError(
+                        f"map values lie in {value.cone.descriptor()}, not "
+                        f"in the cone {cone.descriptor()}")
                 vals = [np.empty(points.shape[:2] + b.shape) for b in blocks]
                 if alphas is None:
                     dvs = [np.empty((len(points),) + b.shape) for b in blocks]

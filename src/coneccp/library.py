@@ -47,14 +47,28 @@ class ProblemInstance:
 
 
 def _poly_oracle(coeffs) -> ConvexOracle:
-    c = np.asarray(coeffs, dtype=float)
+    """Value and derivative of an ascending-coefficient polynomial at x[0].
+
+    Both are evaluated by Horner's rule on Python floats in the operation
+    order of ``np.polynomial.polynomial.polyval`` (``c[-1] + t*0``, then
+    ``c[-i] + v*t``), so every bit matches it without numpy's per-call
+    overhead.
+    """
+    c = np.array(coeffs, dtype=float, ndmin=1)
     dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
+    c, dc = tuple(map(float, c[::-1])), tuple(map(float, dc[::-1]))
+
+    def horner(cs, t):
+        v = cs[0] + t * 0
+        for ci in cs[1:]:
+            v = ci + v * t
+        return v
 
     def value(x):
-        return float(np.polynomial.polynomial.polyval(float(x[0]), c))
+        return horner(c, float(x[0]))
 
     def subgrad(x):
-        return np.array([np.polynomial.polynomial.polyval(float(x[0]), dc)])
+        return np.array([horner(dc, float(x[0]))])
 
     return ConvexOracle(value, subgrad)
 

@@ -202,3 +202,49 @@ def verify_k_convexity_reference(map_oracle, cone, samples, box, seed=0):
                     return ConvexityVerdict(False, ConvexityWitness(
                         x1, x2, alpha, sc.block, sc.vector, sc.value), samples)
     return ConvexityVerdict(True, None, samples)
+
+
+# ---------------------------------------------------------------------------
+# Cone.element's validation as first written: np.isfinite on every block and
+# (a == a.T) on every PSD block, with no prefilter.  The prefiltered
+# coneccp.cones._as_blocks must accept and reject the same blocks, with the
+# same exception and message, and store the same bits.
+
+
+def as_blocks_reference(cone, blocks):
+    from coneccp.cones import SYM_RTOL, PsdCone
+    from coneccp.errors import InvalidElement
+
+    leaves = cone.leaves()
+    if isinstance(blocks, np.ndarray) and len(leaves) == 1:
+        blocks = (blocks,)
+    blocks = tuple(blocks)
+    if len(blocks) != len(leaves):
+        raise InvalidElement(
+            f"expected {len(leaves)} blocks, got {len(blocks)}")
+    out = []
+    for leaf, raw in zip(leaves, blocks):
+        a = np.asarray(raw, dtype=float)
+        if not np.isfinite(a).all():
+            raise InvalidElement("non-finite entries in cone element")
+        if isinstance(leaf, PsdCone):
+            if a.shape != (leaf.order, leaf.order):
+                raise InvalidElement(
+                    f"psd block must be {leaf.order}x{leaf.order}, got {a.shape}")
+            if not (a == a.T).all():
+                scale = float(np.abs(a).max())
+                b = a / scale
+                asym = float(np.linalg.norm(b - b.T)) * scale
+                if asym > SYM_RTOL * max(1.0, float(np.linalg.norm(b)) * scale):
+                    raise InvalidElement(
+                        f"psd block asymmetry {asym:.3e} exceeds tolerance")
+                a = 0.5 * a + 0.5 * a.T
+        else:
+            a = a.reshape(-1)
+            if a.shape != (leaf.dim,):
+                raise InvalidElement(
+                    f"orthant block must have length {leaf.dim}, got {a.shape}")
+        a = a.copy()
+        a.setflags(write=False)
+        out.append(a)
+    return tuple(out)

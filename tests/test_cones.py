@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coneccp.cones import (Orthant, ProductCone, PsdCone,
-                           cone_from_descriptor, dist_to_neg_cone, inner,
-                           lambda_max_scalarize, project_pos, slack_cost)
+from coneccp.cones import (SYM_RTOL, Orthant, ProductCone, PsdCone,
+                           cone_from_descriptor, dist_to_neg_cone,
+                           eigenpairs, inner, lambda_max_scalarize,
+                           project_pos, slack_cost)
 from coneccp.errors import InvalidElement, InvalidPenalty
+
+from oracles import as_blocks_reference
 
 ORTH2 = Orthant(2)
 PSD2 = PsdCone(2)
@@ -304,3 +307,102 @@ class TestConeTypes:
         assert np.allclose((a - b).blocks[0], [0.5, 3.0])
         assert np.allclose((a + b).scale(2.0).blocks[0], [3.0, 2.0])
         assert (-a).blocks[0][0] == -1.0
+
+
+# ---------------------------------------------------------------------------
+# Cone.element against its validation as first written
+
+# ordinary entries, entries whose squares overflow np.vdot, signed zeros,
+# denormals and non-finites
+WIDE = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(1e154, 1.7e308), st.floats(-1.7e308, -1e154),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]))
+# relative asymmetries inside and beyond SYM_RTOL
+ASYM = st.sampled_from([1e-16, 1e-12, 0.5 * SYM_RTOL, 0.99 * SYM_RTOL,
+                        1.01 * SYM_RTOL, 2 * SYM_RTOL, 1e-4, 1.0])
+ELEMENT_CONES = (PsdCone(1), PsdCone(2), PsdCone(3), Orthant(1), Orthant(3),
+                 ProductCone((PsdCone(2), Orthant(2))),
+                 ProductCone((Orthant(1), PsdCone(1), PsdCone(3))))
+
+
+@st.composite
+def raw_block(draw, leaf):
+    """Data for one leaf: an exactly symmetric block, one with mirrored
+    signed zeros, one asymmetric by a relative amount, arbitrary entries, or
+    a wrong shape (orthant data also as a column, which is accepted)."""
+    if isinstance(leaf, Orthant):
+        shape = draw(st.sampled_from([(leaf.dim,), (leaf.dim, 1),
+                                      (leaf.dim + 1,), (leaf.dim, 2)]))
+        return draw(arrays(float, shape, elements=WIDE))
+    n = leaf.order
+    kind = draw(st.sampled_from(["symmetric", "zeros", "near", "any",
+                                 "shape"]))
+    if kind == "shape":
+        n = draw(st.sampled_from([n + 1, n - 1]))
+    M = draw(arrays(float, (n, n), elements=WIDE))
+    if kind in ("symmetric", "zeros", "near"):
+        lower = np.tril_indices(n, -1)
+        M[lower] = M.T[lower]
+        if n > 1 and kind == "zeros":
+            for i, j in zip(*lower):
+                if draw(st.booleans()):
+                    M[i, j], M[j, i] = draw(st.sampled_from(
+                        [(0.0, -0.0), (-0.0, 0.0)]))
+        if n > 1 and kind == "near":
+            rel = draw(ASYM)
+            M[1, 0] = (M[0, 1] * (1.0 + rel) if draw(st.booleans())
+                       else M[0, 1] + rel)
+    return M
+
+
+def outcome(validate, cone, blocks):
+    """Stored (shape, bits, writeable) per block, or the exception raised."""
+    try:
+        out = validate(cone, blocks)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(b.shape, b.dtype, b.tobytes(), b.flags.writeable) for b in out]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ELEMENT_CONES), st.data())
+def test_element_validates_as_the_reference_does(cone, data):
+    # the prefilters never warn: the RuntimeWarning filter would fail this
+    blocks = [data.draw(raw_block(leaf)) for leaf in cone.leaves()]
+    if data.draw(st.integers(0, 9)) == 9:
+        blocks = blocks[:-1] if data.draw(st.booleans()) else blocks * 2
+    elif len(blocks) == 1 and data.draw(st.booleans()):
+        blocks = blocks[0]  # one bare array for a one-leaf cone
+    got = outcome(lambda c, b: c.element(b).blocks, cone, blocks)
+    assert got == outcome(as_blocks_reference, cone, blocks)
+
+
+@pytest.mark.parametrize("M", [
+    [[1e200, 1.0], [1.0, 1.0]],            # finite, but vdot overflows
+    [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
+    [[1.0, 0.0], [-0.0, 1.0]],             # mirrored signed zeros
+    [[-0.0, -0.0], [-0.0, -0.0]],
+])
+def test_valid_blocks_the_prefilters_defer_are_kept(M):
+    M = np.array(M)
+    assert outcome(lambda c, b: c.element(b).blocks, PSD2, M) == \
+        outcome(as_blocks_reference, PSD2, M)
+    assert PSD2.element(M).blocks[0].tobytes() == M.tobytes()
+
+
+# order-1 PSD blocks are read off, as LAPACK returns them
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324,
+                               2.2250738585072014e-308 / 4, 1.0, -3.5,
+                               1e-300, 1.7e308, -1.7e308])
+def test_order1_eigenpairs_match_eigh_bit_for_bit(x):
+    y = PsdCone(1).element(np.array([[x]]))
+    w, v = np.linalg.eigh(np.array([[x]]))
+    (_, w1, v1), = eigenpairs(y)
+    assert (w1.shape, w1.tobytes()) == (w.shape, w.tobytes())
+    assert (v1.shape, v1.tobytes()) == (v.shape, v.tobytes())
+    assert not (w1.flags.writeable or v1.flags.writeable)
+    sc = lambda_max_scalarize(y)
+    assert np.float64(sc.value).tobytes() == w[-1].tobytes()
+    assert sc.vector.tobytes() == v[:, -1].tobytes()
+    assert not sc.vector.flags.writeable

@@ -603,6 +603,19 @@ class TestChunkedConvexityCheck:
         with pytest.raises(ConeCcpError, match="box must be finite"):
             verify_k_convexity(nonconvex_witness(), PsdCone(2), 10, box)
 
+    def test_a_cone_that_does_not_match_the_map_is_refused(self):
+        # the map's values are 2x2 PSD blocks: checked against five orthant
+        # components the call would witness a PSD violation
+        box = (np.array([-2.0]), np.array([2.0]))
+        with pytest.raises(ConeCcpError, match=r"map values lie in "
+                           r"\{'psd': 2\}, not in the cone \{'orthant': 5\}"):
+            verify_k_convexity(nonconvex_witness(), Orthant(5), 10, box)
+        # a product of the same leaves is the same cone
+        got = verify_k_convexity(nonconvex_witness(),
+                                 ProductCone((PsdCone(2),)), 10, box)
+        want = verify_k_convexity(nonconvex_witness(), PsdCone(2), 10, box)
+        assert same_verdict(got, want) and not got.passed
+
     def test_integer_types_accepted(self):
         for samples in (1, np.int64(3)):
             verdict = verify_k_convexity(nonconvex_witness(), PsdCone(2),

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as P
 from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
 from coneccp.convexity import verify_k_convexity
 from coneccp.errors import ConeCcpError, InvalidElement, SchemaError
-from coneccp.library import (CURVATURE_RTOL, builtin, example29,
+from coneccp.library import (CURVATURE_RTOL, _poly_oracle, builtin, example29,
                              nonconvex_witness, polynomial_constraint_map,
                              polynomial_nonconvexity, quadratic_hessian_bound,
                              quadratic_matrix_map, quadratic_sdp,
@@ -237,6 +237,29 @@ def test_polynomial_certificate_matches_a_dense_grid(coeffs, lo, width):
         for part in (cmap.G, cmap.H):
             assert verify_k_convexity(part, cmap.cone, 30, bounds,
                                       seed=1).passed
+
+
+COEFFS = st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300),
+                            st.sampled_from([0.0, -0.0, 5e-324])),
+                  min_size=1, max_size=6)
+POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 1e-300,
+                                    -1e-300, 1e100, -1e100]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(COEFFS, POINTS)
+def test_polynomial_rows_match_polyval_bit_for_bit(coeffs, t):
+    # Horner on Python floats in polyval's operation order; the reference
+    # may overflow, which numpy reports as a warning
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        orc = _poly_oracle(coeffs)
+        dc = P.polyder(c) if c.size > 1 else np.zeros(1)
+        value, slope = P.polyval(t, c), P.polyval(t, dc)
+    x = np.array([t])
+    assert np.float64(orc.value(x)).tobytes() == value.tobytes()
+    assert orc.subgrad(x).tobytes() == np.array([slope]).tobytes()
 
 
 class TestPolynomialCertificate:

@@ -62,3 +62,60 @@ def test_package_imports_only_numpy_and_the_standard_library():
              if root not in allowed]
     if found:
         pytest.fail("\n".join(found))
+
+
+def _private(dotted):
+    """Whether a dotted name has a leading-underscore (not dunder) part."""
+    return any(part.startswith("_") and not part.endswith("__")
+               for part in dotted.split("."))
+
+
+def private_numpy_uses(source):
+    """(line, name) of each private numpy module or attribute a source
+    imports, or reaches by attribute from a name bound to numpy."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "numpy":
+                    bound.add(alias.asname or "numpy")
+                    if _private(alias.name):
+                        yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] == "numpy":
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                name = f"{node.module}.{alias.name}"
+                if _private(name):
+                    yield node.lineno, name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            parts, root = [node.attr], node.value
+            while isinstance(root, ast.Attribute):
+                parts.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                yield node.lineno, ".".join([root.id] + parts[::-1])
+
+
+def test_private_numpy_uses_are_found():
+    source = ("import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+              "import numpy._core.umath\nx = np._core.multiarray\n"
+              "y = np.linalg._umath_linalg.eigh(a)\nz = np.__version__\n"
+              "from numpy import linalg as la\nw = la._umath_linalg\n"
+              "v = a._private\nu = np.linalg.eigh(a).eigenvalues\n")
+    assert sorted(private_numpy_uses(source)) == [
+        (2, "numpy.linalg._umath_linalg"), (3, "numpy._core.umath"),
+        (4, "np._core"), (5, "np.linalg._umath_linalg"),
+        (8, "la._umath_linalg")]
+
+
+def test_package_reaches_no_private_numpy_module():
+    # numpy's underscore modules, such as numpy.linalg._umath_linalg, are
+    # not its API and change between releases
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in private_numpy_uses(path.read_text())]
+    if found:
+        pytest.fail("\n".join(found))

@@ -10,7 +10,8 @@ from coneccp.dc import (ConeDcMap, ConeDerivative, KConvexOracle,
                         quadratic_oracle)
 from coneccp.errors import InvalidPenalty
 from coneccp.feasible import box
-from coneccp.library import ProblemInstance, example29, quadratic_sdp, stiefel
+from coneccp.library import (ProblemInstance, example29, quadratic_sdp, stiefel,
+                             stiefel11_builtin)
 from coneccp.subproblem import (build_constrained, build_penalized,
                                 linearize_constraint, recover_slack)
 
@@ -293,14 +294,16 @@ def test_memoized_oracles_match_fresh_evaluations(kind, d, seed):
         assert not any(b.flags.writeable for b in lin_y.blocks)
 
 
-@pytest.mark.parametrize("make,psd_blocks", [
+# eighs counts the PSD blocks of order 2 or more: an order-1 block is read
+# off without eigh
+@pytest.mark.parametrize("make,eighs", [
     (lambda: quadratic_sdp(3), 1),
     (lambda: stiefel(2, 2), 2),
     (lambda: random_problem(CONES["product"](), 3,
-                            np.random.default_rng(0)), 2),
-])
-def test_one_eigh_per_psd_block_per_visited_point(make, psd_blocks,
-                                                  monkeypatch):
+                            np.random.default_rng(0)), 1),
+    (stiefel11_builtin, 0),
+], ids=["quadratic_sdp", "stiefel22", "product", "stiefel11"])
+def test_one_eigh_per_psd_block_per_visited_point(make, eighs, monkeypatch):
     problem = make()
     fs = problem.feasible_set
     x_n = 0.3 * fs.hi
@@ -318,10 +321,10 @@ def test_one_eigh_per_psd_block_per_visited_point(make, psd_blocks,
     run = inner._kelley_min(con.objective.value, con.objective.subgrad, fs,
                             1e-9, seeds=[x], constraint=con.constraint)
     assert run.cuts == 2
-    assert len(calls) == psd_blocks
+    assert len(calls) == eighs
     # the penalized value and subgradient at one point share their eigh
     calls.clear()
     pen = build_penalized(problem, x_n, v_n, 2.0)
     pen.objective.subgrad(x)
     pen.objective.value(x)
-    assert len(calls) == psd_blocks
+    assert len(calls) == eighs
