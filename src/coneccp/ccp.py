@@ -37,6 +37,7 @@ MAX_ITER = "max_iter"
 INNER_ITER_LIMIT = "inner_iter_limit"
 
 FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
+SMALL_STEP_TOL = 1e-8  # step that ends a run with strongly convex h0
 DESCENT_SLACK = 1e-8
 
 
@@ -51,12 +52,11 @@ def check_max_iter(max_iter) -> None:
 @dataclass
 class CcpConfig:
     eps_f: float = 1e-8
-    eps_x: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (self.eps_f > 0 and self.eps_x > 0):
-            raise ConeCcpError("eps_f and eps_x must be positive")
+        if not self.eps_f > 0:
+            raise ConeCcpError("eps_f must be positive")
         check_max_iter(self.max_iter)
 
 
@@ -160,7 +160,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
         if abs(f_prev - f) < cfg.eps_f:
             trace.termination = SMALL_OBJECTIVE_CHANGE
             break
-        if mu > 0.0 and step < cfg.eps_x:
+        if mu > 0.0 and step < SMALL_STEP_TOL:
             trace.termination = SMALL_STEP
             break
     else:

@@ -1,8 +1,11 @@
 """Self-dual cone primitives: PSD blocks, nonnegative orthants, finite products.
 
 A cone element stores one dense array per leaf block (full symmetric matrices
-for PSD blocks, plain vectors for orthant blocks).  All operations are pure
-functions of immutable inputs, so elements are safe to share across threads.
+for PSD blocks, plain vectors for orthant blocks).  An element keeps its
+:func:`eigenpairs` and :func:`lambda_max_scalarize` witness once asked, so
+each is computed at most once.  Blocks are read-only and a kept fact is set
+by one assignment of a finished value, so elements are safe to share across
+threads: a reader finds a fact whole or not yet there.
 """
 
 from __future__ import annotations
@@ -157,10 +160,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)
+EYE_CACHE_MAX = 16  # larger identities are built per call, not cached
+_small_eye = lru_cache(maxsize=None)(lambda n: _freeze(np.eye(n)))
+
+
 def _eye(n: int) -> np.ndarray:
-    """The read-only n x n identity, built once per size (of the last 16)."""
-    return _freeze(np.eye(n))
+    """The read-only n x n identity."""
+    return _small_eye(n) if n <= EYE_CACHE_MAX else _freeze(np.eye(n))
 
 
 def _eigh(a: np.ndarray):
@@ -169,7 +175,10 @@ def _eigh(a: np.ndarray):
     eigenvector 1 for it, and so does this, bit for bit."""
     if len(a) == 1:
         return _freeze(a[0]), _eye(1)
-    w, v = np.linalg.eigh(a)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidElement(f"eigendecomposition failed: {exc}") from exc
     return _freeze(w), _freeze(v)
 
 
@@ -212,10 +221,16 @@ def _as_blocks(cone: Cone, blocks) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class ConeElement:
-    """Immutable point of the ambient space carrying its cone."""
+    """Immutable point of the ambient space carrying its cone.  Its blocks
+    are read-only, so :func:`eigenpairs` and :func:`lambda_max_scalarize`
+    keep their results in ``_pairs`` and ``_top``: None, then set once."""
 
     cone: Cone
     blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _pairs: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
+    _top: Scalarization | None = field(default=None, init=False,
+                                       compare=False, repr=False)
 
     def _like(self, blocks: Iterable[np.ndarray]) -> "ConeElement":
         return ConeElement(self.cone, tuple(_freeze(b) for b in blocks))
@@ -248,16 +263,9 @@ def project_pos(y: ConeElement) -> ConeElement:
     y = y+ - y- with <y+, y-> = 0: PSD blocks keep the nonnegative part of the
     spectrum, orthant blocks the nonnegative components.
     """
-    return positive_part(y, eigenpairs(y))
-
-
-def positive_part(y: ConeElement, pairs) -> ConeElement:
-    """:func:`project_pos` of y from its :func:`eigenpairs`: PSD blocks keep
-    the nonnegative part of the spectrum, orthant blocks their nonnegative
-    components."""
     return y._like((v * np.maximum(w, 0.0)) @ v.T if a.ndim == 2
                    else np.maximum(w, 0.0)
-                   for a, (_, w, v) in zip(y.blocks, pairs))
+                   for a, (_, w, v) in zip(y.blocks, eigenpairs(y)))
 
 
 def dist_to_neg_cone(y: ConeElement) -> float:
@@ -279,22 +287,20 @@ def slack_cost(t_scale: float, y: ConeElement) -> tuple[float, ConeElement]:
     return t_scale * base, s_star
 
 
-def eigenpairs(y: ConeElement):
-    """Yield (block, eigenvalues, unit eigenvectors as columns) per block of y.
+def eigenpairs(y: ConeElement) -> tuple:
+    """(block, eigenvalues, unit eigenvectors as columns) per block of y.
 
     PSD blocks give their spectrum in ascending order; orthant blocks give
     their components, with the coordinate vectors as eigenvectors.  The
-    arrays are read-only.
+    arrays are read-only; the tuple is kept on y, so later calls decompose
+    nothing.
     """
-    for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
-        if isinstance(leaf, PsdCone):
-            try:
-                w, v = _eigh(a)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidElement(f"eigendecomposition failed: {exc}") from exc
-            yield k, w, v
-        else:
-            yield k, a, _eye(a.size)
+    pairs = y._pairs
+    if pairs is None:
+        pairs = tuple((k, *_eigh(a)) if a.ndim == 2 else (k, a, _eye(a.size))
+                      for k, a in enumerate(y.blocks))
+        object.__setattr__(y, "_pairs", pairs)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -307,19 +313,24 @@ class Scalarization:
 
 
 def lambda_max_scalarize(y: ConeElement) -> Scalarization:
-    """Scalar reformulation witness: value <= 0 iff y is in -K."""
-    best: Scalarization | None = None
-    for k, (leaf, a) in enumerate(zip(y.cone.leaves(), y.blocks)):
-        if isinstance(leaf, PsdCone):
-            w, v = _eigh(a)
+    """Scalar reformulation witness: value <= 0 iff y is in -K.  Kept on
+    y; PSD blocks are read from y's kept :func:`eigenpairs` if it has them."""
+    best = y._top
+    if best is not None:
+        return best
+    pairs = y._pairs
+    for k, a in enumerate(y.blocks):
+        if a.ndim == 2:
+            w, v = _eigh(a) if pairs is None else pairs[k][1:]
             val, vec = float(w[-1]), v[:, -1].copy()
         else:
             i = int(np.argmax(a))
-            vec = np.zeros(leaf.dim)
+            vec = np.zeros(a.size)
             vec[i] = 1.0
             val = float(a[i])
         if best is None or val > best.value:
             best = Scalarization(val, k, _freeze(vec))
     if best is None:
         raise InvariantViolation("cone element without blocks")
+    object.__setattr__(y, "_top", best)
     return best

@@ -129,7 +129,7 @@ class ConeDerivative:
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def apply(self, u: np.ndarray) -> ConeElement:
-        return ConeElement(self.cone, tuple(self.apply_blocks(u)))
+        return self.cone.element(self.apply_blocks(u))
 
     def apply_blocks(self, u: np.ndarray):
         """The blocks of :meth:`apply`, as a generator of plain arrays."""
@@ -154,9 +154,6 @@ class ConeDerivative:
                     else arr @ lb)
             out = term if out is None else out + term
         return out
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.blocks)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .dc import (ComponentwiseDcMatrix, ConeDcMap, ConeDerivative,
                  ConvexOracle, KConvexOracle, ScalarDcFunction,
                  SmoothKConvexOracle, SmoothMatrixMap, add_oracles,
                  quadratic_oracle, regularized_dc_decomposition, zero_oracle)
-from .errors import ConeCcpError
+from .errors import ConeCcpError, InvalidElement
 from .feasible import FeasibleSet, box
 
 
@@ -247,8 +247,8 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
     valid launch point (recorded in known_facts).
 
     Nothing here samples the split: with explicit ``C``, ``B`` and ``A``
-    checked to be finite symmetric blocks (:class:`InvalidElement`
-    otherwise), it is K-convex by theorem once ``mu`` passes the bound
+    checked to be finite symmetric blocks of agreeing shapes
+    (:class:`InvalidElement` otherwise), it is K-convex by theorem once ``mu`` passes the bound
     check, and the generated (or default) objective is a
     positive semidefinite quadratic by construction.  A caller's
     ``objective`` is opaque, so ``validate`` gates only the sampled
@@ -281,7 +281,10 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
         C = np.asarray(C, dtype=float)
         B = np.asarray(B, dtype=float)
         A = np.asarray(A, dtype=float)
-        dim, order = B.shape[0], C.shape[0]
+        dim, order = len(B), len(C)
+        if B.shape != (dim, order, order) or A.shape != (dim,) + B.shape:
+            raise InvalidElement(f"B must be (d, l, l) and A (d, d, l, l) for C "
+                                 f"of order l, got {B.shape} and {A.shape}")
         # the bound certifies the split only for finite symmetric blocks
         cone = PsdCone(order)
         for block in (C, *B, *A.reshape(-1, order, order)):
@@ -415,8 +418,8 @@ def nonconvex_witness() -> SmoothMatrixMap:
                            matrix_derivative=derivative)
 
 
-def random_componentwise_dc(seed: int, order=2, dim=2,
-                            scale=1.0) -> ComponentwiseDcMatrix:
+def random_componentwise_dc(seed: int, order=2,
+                            dim=2) -> ComponentwiseDcMatrix:
     """Seeded componentwise-DC matrix with convex quadratic entry parts."""
     rng = np.random.default_rng(seed)
     upper = {}
@@ -425,10 +428,10 @@ def random_componentwise_dc(seed: int, order=2, dim=2,
             Wg = rng.normal(size=(dim, dim))
             Wh = rng.normal(size=(dim, dim))
             upper[(i, j)] = (
-                quadratic_oracle(scale * Wg @ Wg.T / dim,
+                quadratic_oracle(Wg @ Wg.T / dim,
                                  rng.uniform(-1, 1, dim),
                                  rng.uniform(-1, 1)),
-                quadratic_oracle(scale * Wh @ Wh.T / dim,
+                quadratic_oracle(Wh @ Wh.T / dim,
                                  rng.uniform(-1, 1, dim),
                                  rng.uniform(-1, 1)))
     return ComponentwiseDcMatrix.from_upper(order, dim, upper)

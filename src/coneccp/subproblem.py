@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ConeElement, eigenpairs, lambda_max_scalarize,
-                    positive_part, inner)
+from .cones import (ConeElement, eigenpairs, inner, lambda_max_scalarize,
+                    project_pos)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
 from .errors import InvalidPenalty
 from .feasible import FeasibleSet
@@ -33,10 +33,10 @@ class LinearizedConstraint:
     """G(x) - H(x_n) - DH(x_n)(x - x_n), an outer approximation of F near x_n.
 
     The inner solver asks for a value and a subgradient at each point it
-    visits, so the last point asked keeps its linearization and the eigen
-    data derived from it in a one-entry memo keyed on the bytes of x: a
-    point costs one evaluation of G, which still passes the full validation
-    of :meth:`Cone.element`, and one eigendecomposition per PSD block.  The
+    visits, so the last point asked keeps its linearization in a one-entry
+    memo keyed on the bytes of x: a point costs one evaluation of G, which
+    still passes the full validation of :meth:`Cone.element`, and at most
+    one eigendecomposition per PSD block, kept by the linearization.  The
     memo is one tuple replaced by a single assignment, so a concurrent reader
     sees a whole entry or none; it belongs to this object, one per
     subproblem.
@@ -46,10 +46,9 @@ class LinearizedConstraint:
     h_base: ConeElement
     dh_base: ConeDerivative
     gmap: KConvexOracle
-    # (bytes of x, linearization, lambda_max_scalarize result, eigenpairs);
-    # the last two are None until some caller needs them
-    _memo: tuple = field(default=(None, None, None, None), init=False,
-                         repr=False, compare=False)
+    # (bytes of x, linearization at x)
+    _memo: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     def value(self, x) -> ConeElement:
         x = np.asarray(x, dtype=float)
@@ -58,38 +57,28 @@ class LinearizedConstraint:
         return g._like((gb - hb) - step for gb, hb, step
                        in zip(g.blocks, self.h_base.blocks, steps))
 
-    def _memoized(self, x, need_pairs):
-        """(linearization, scalarization, eigenpairs) at x, through the memo;
-        the scalarization is filled in unless ``need_pairs``, else the
-        eigenpairs."""
+    def at(self, x) -> ConeElement:
+        """The linearization at x, through the memo."""
+        x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        memo_key, y, sc, pairs = self._memo
+        memo_key, y = self._memo
         if memo_key != key:
-            y, sc, pairs = self.value(x), None, None
-        if need_pairs and pairs is None:
-            pairs = tuple(eigenpairs(y))
-        if not need_pairs and sc is None:
-            sc = lambda_max_scalarize(y)
-        object.__setattr__(self, "_memo", (key, y, sc, pairs))
-        return y, sc, pairs
+            y = self.value(x)
+            object.__setattr__(self, "_memo", (key, y))
+        return y
 
     def scalarized(self, x) -> float:
-        return self._memoized(np.asarray(x, dtype=float), False)[1].value
+        return lambda_max_scalarize(self.at(x)).value
 
     def scalarized_subgrad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        sc = self._memoized(x, False)[1]
+        sc = lambda_max_scalarize(self.at(x))
         return self.quad_form_subgrad(x, sc.block, sc.vector)
 
     def quad_form_subgrad(self, x, k, u) -> np.ndarray:
         """A subgradient at x of u' [linearization(x)]_k u, block k."""
         return (self.gmap.quad_form_subgrad(x, k, u)
                 - self.dh_base.quad_form_grad(k, u))
-
-    def eigen(self, x) -> tuple[ConeElement, tuple]:
-        """The linearization at x and its :func:`eigenpairs`, all read-only."""
-        y, _, pairs = self._memoized(np.asarray(x, dtype=float), True)
-        return y, pairs
 
 
 @dataclass(frozen=True)
@@ -161,15 +150,15 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
     shifted = _shifted_objective(problem, x_n, v_n)
     identity = problem.constraint.cone.identity()
 
-    # value and subgradient at one point share one eigendecomposition
+    # value and subgradient at one point share one linearization and eigh
     def value(x):
-        pos = positive_part(*lin.eigen(x))
+        pos = project_pos(lin.at(x))
         return shifted.value(x) + tau * inner(identity, pos)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
         out = shifted.subgrad(x)
-        for k, w, vecs in lin.eigen(x)[1]:
+        for k, w, vecs in eigenpairs(lin.at(x)):
             for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
                 u = vecs[:, idx]
                 out = out + tau * lin.quad_form_subgrad(x, k, u)
@@ -188,14 +177,14 @@ def recover_slack(spec: SubproblemSpec, x) -> ConeElement:
 
     Tiny positive parts (inner-solver roundoff on an exactly active
     constraint) are snapped to zero, along with the negative ones, so that
-    exact penalty phases are recognizable by slack == 0.  The eigenpairs
-    come through the linearization's memo, so at the inner solver's last
-    point they are the ones the penalized objective used.
+    exact penalty phases are recognizable by slack == 0.  The linearization
+    comes through the memo, so at the inner solver's last point its
+    eigenpairs are the ones the penalized objective used.
     """
     if spec.constraint is not None:
         raise ValueError("slack recovery applies to penalized subproblems")
-    y, pairs = spec.lin.eigen(x)
+    y = spec.lin.at(x)
     cut = SLACK_ZERO_TOL * (1.0 + y.norm())
     return y._like((v * np.where(w <= cut, 0.0, w)) @ v.T if a.ndim == 2
                    else np.where(w <= cut, 0.0, w)
-                   for a, (_, w, v) in zip(y.blocks, pairs))
+                   for a, (_, w, v) in zip(y.blocks, eigenpairs(y)))

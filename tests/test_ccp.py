@@ -6,8 +6,12 @@ import pytest
 from coneccp import ccp, inner
 from coneccp.ccp import CcpConfig, Trace, check_strong_descent, run_ccp
 from coneccp.certificates import criticality_residual
+from coneccp.dc import ScalarDcFunction, quadratic_oracle
 from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
-from coneccp.library import example29, quadratic_sdp, with_strong_convexity
+from coneccp.feasible import box
+from coneccp.library import (ProblemInstance, example29,
+                             polynomial_constraint_map, quadratic_sdp,
+                             with_strong_convexity)
 
 
 class TestGoldenRuns:
@@ -114,21 +118,35 @@ class TestStrongDescent:
 
 
 class TestSmallStepTermination:
-    def test_strongly_convex_split_enables_step_stop(self):
+    def test_strongly_convex_split_enables_step_stop(self, monkeypatch):
         # with the objective-change stop disabled, the step-size criterion
         # (active only under declared strong convexity) must fire
+        monkeypatch.setattr(ccp, "SMALL_STEP_TOL", 1e-6)
         p = with_strong_convexity(example29(), 1.0)
-        tr = run_ccp(p, [2.0], CcpConfig(eps_f=1e-300, eps_x=1e-6))
+        tr = run_ccp(p, [2.0], CcpConfig(eps_f=1e-300))
         assert tr.termination in (ccp.SMALL_STEP, ccp.CRITICAL_FIXED_POINT)
         assert tr.final_x[0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_small_step_fires_exactly(self):
+        # f0 = x^2 - x^2/2 under an always-satisfied row: each CCP step
+        # halves x, so the step falls below the tolerance long before the
+        # objective change falls below eps_f
+        objective = ScalarDcFunction(g0=quadratic_oracle([[2.0]]),
+                                     h0=quadratic_oracle([[1.0]]), dim=1,
+                                     strong_convexity_of_h=1.0)
+        p = ProblemInstance("halving", objective,
+                            polynomial_constraint_map([[-1.0]], [[0.0]]),
+                            box([-4.0], [4.0]))
+        tr = run_ccp(p, [3.0], CcpConfig(eps_f=1e-300))
+        assert tr.termination == ccp.SMALL_STEP
+        assert tr.iterations == 29
+        assert abs(tr.final_x[0] - tr.records[-2].x[0]) < ccp.SMALL_STEP_TOL
 
 
 class TestConfig:
     def test_positive_tolerances_required(self):
         with pytest.raises(ConeCcpError):
             CcpConfig(eps_f=0.0)
-        with pytest.raises(ConeCcpError):
-            CcpConfig(eps_x=-1.0)
 
     @pytest.mark.parametrize("max_iter", [-1, 2.5, 3.0, True, "5", None])
     def test_max_iter_must_be_a_nonnegative_int(self, max_iter):

@@ -406,3 +406,54 @@ def test_order1_eigenpairs_match_eigh_bit_for_bit(x):
     assert np.float64(sc.value).tobytes() == w[-1].tobytes()
     assert sc.vector.tobytes() == v[:, -1].tobytes()
     assert not sc.vector.flags.writeable
+
+
+def count_eigh(monkeypatch):
+    """The list that grows by one at each np.linalg.eigh call."""
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw:
+                        calls.append(1) or real(a, *args, **kw))
+    return calls
+
+
+# an element keeps its spectral facts: however many of them are asked, each
+# PSD block of order 2 or more is decomposed once (order 1 is read off)
+def test_an_element_decomposes_each_block_once(monkeypatch):
+    cone = ProductCone((PsdCone(3), Orthant(2), PsdCone(1), PsdCone(2)))
+    raw = random_element(cone, np.random.default_rng(3)).blocks
+    calls = count_eigh(monkeypatch)
+    y = cone.element(raw)
+    pos, dist = project_pos(y), dist_to_neg_cone(y)
+    sc = lambda_max_scalarize(y)
+    assert len(calls) == 2
+    assert eigenpairs(y) is eigenpairs(y)
+    assert lambda_max_scalarize(y) is sc
+    assert len(calls) == 2
+    # the kept facts are the ones a fresh element computes, bit for bit
+    fresh = [cone.element(raw) for _ in range(3)]
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(pos.blocks, project_pos(fresh[0]).blocks))
+    assert dist == dist_to_neg_cone(fresh[1])
+    sc_fresh = lambda_max_scalarize(fresh[2])
+    assert (sc.value, sc.block, sc.vector.tobytes()) == \
+        (sc_fresh.value, sc_fresh.block, sc_fresh.vector.tobytes())
+
+
+def test_large_orthant_identities_are_not_kept():
+    # the eigenvectors of a long orthant block go with the element; only
+    # small identities are cached
+    import gc
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = Orthant(2000).element(np.ones(2000))
+        pairs = tuple(eigenpairs(y))
+        assert pairs[0][2].shape == (2000, 2000)
+        del y, pairs
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20

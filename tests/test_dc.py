@@ -12,7 +12,8 @@ from coneccp.dc import (ComponentwiseDcMatrix, ConeDerivative, ConvexOracle,
                         lambda_max_subgradient, offdiag_dc_extraction,
                         quadratic_oracle, regularized_dc_decomposition,
                         zero_oracle)
-from coneccp.errors import BoundTooSmall, ConeCcpError, OracleCheckError
+from coneccp.errors import (BoundTooSmall, ConeCcpError, InvalidElement,
+                            OracleCheckError)
 from coneccp.library import (nonconvex_witness, quadratic_matrix_map,
                              random_componentwise_dc, stiefel)
 from oracles import verify_k_convexity_reference
@@ -168,6 +169,24 @@ class TestLambdaMaxDecomposition:
                 rhs = 0.5 * (orc.value(np.array([a]))
                              + orc.value(np.array([b])))
                 assert lhs <= rhs + 1e-9
+
+    def test_split_oracles_give_the_subgradient_pair(self):
+        # g0.subgrad and h0.subgrad are the two halves of
+        # lambda_max_subgradient, and each is a subgradient of its part
+        for seed in range(5):
+            F = random_componentwise_dc(seed, order=3, dim=2)
+            split = lambda_max_dc_decomposition(F)
+            rng = np.random.default_rng(200 + seed)
+            pts = rng.uniform(-2, 2, (20, 2))
+            for x in pts:
+                xi_g, xi_h = lambda_max_subgradient(F, x)
+                assert split.g0.subgrad(x).tobytes() == xi_g.tobytes()
+                assert split.h0.subgrad(x).tobytes() == xi_h.tobytes()
+                for orc, xi in ((split.g0, xi_g), (split.h0, xi_h)):
+                    fx = orc.value(x)
+                    for y in pts:
+                        lower = fx + float(xi @ (y - x))
+                        assert orc.value(y) >= lower - 1e-9 * (1.0 + abs(fx))
 
 
 class TestLambdaMaxSubgradient:
@@ -349,6 +368,25 @@ class TestConvexityVerifier:
             check_derivative_consistency(Corrupted(), (inst.feasible_set.lo,
                                                        inst.feasible_set.hi),
                                          seed=0)
+
+    def test_derivative_checker_rejects_a_non_finite_derivative(self):
+        # a NaN derivative makes every error comparison false; the element
+        # the checker builds from it is validated instead
+        inst = stiefel(2, 2)
+        good = inst.constraint.H
+
+        class NotANumber:
+            value = staticmethod(good.value)
+
+            @staticmethod
+            def derivative(x):
+                d = good.derivative(x)
+                return type(d)(d.cone, tuple(np.full_like(b, np.nan)
+                                             for b in d.blocks))
+
+        with pytest.raises(InvalidElement, match="non-finite"):
+            check_derivative_consistency(NotANumber(), (inst.feasible_set.lo,
+                                                        inst.feasible_set.hi))
 
 
 class TestSelfChecks:

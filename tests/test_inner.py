@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -14,7 +15,8 @@ from coneccp.errors import ConeCcpError, InvariantViolation
 from coneccp.feasible import FeasibleSet, box
 from coneccp.library import example29, quadratic_sdp, stiefel
 from coneccp.penalty import PenaltyConfig, run_penalty_ccp
-from coneccp.subproblem import build_constrained, linearize_constraint
+from coneccp.subproblem import (build_constrained, build_penalized,
+                                linearize_constraint)
 
 
 from oracles import (bisect_min_reference, bisect_root_reference,
@@ -142,6 +144,32 @@ class TestPathsAgree:
             r2 = inner._solve_general(spec, 1e-8)
             assert abs(r1.objective_value - r2.objective_value) <= 2e-8
             assert abs(r1.x_hat[0] - r2.x_hat[0]) <= 1e-3
+
+    def test_one_dimensional_rows_bound_the_search(self):
+        # 2x <= 3 and -4x <= 5 on [-10, 10] are the box [-1.25, 1.5]
+        p = example29()
+        rows = FeasibleSet([-10.0], [10.0], affine_A=[[2.0], [-4.0]],
+                           affine_b=[3.0, 5.0])
+        plain = box([-1.25], [1.5])
+        assert inner._bounds_1d(rows) == (-1.25, 1.5, False)
+
+        def same(a, b):
+            assert type(a) is type(b)
+            for name in vars(a):
+                assert np.asarray(getattr(a, name)).tobytes() == \
+                    np.asarray(getattr(b, name)).tobytes(), name
+
+        for z in (1.2, -1.2):
+            x = np.array([z])
+            v = p.objective.h0.subgrad(x)
+            for build in (lambda q: build_constrained(q, x, v),
+                          lambda q: build_penalized(q, x, v, 2.0)):
+                reps = [inner.solve_convex(build(dataclasses.replace(
+                    p, feasible_set=fs))) for fs in (rows, plain)]
+                same(*reps)
+            lin = linearize_constraint(p, x)
+            same(inner.slater_probe(lin, rows),
+                 inner.slater_probe(lin, plain))
 
 
 class TestInfeasibility:

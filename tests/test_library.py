@@ -6,7 +6,9 @@ from numpy.polynomial import polynomial as P
 
 from coneccp.cones import Orthant, ProductCone, PsdCone, lambda_max_scalarize
 from coneccp.convexity import verify_k_convexity
-from coneccp.errors import ConeCcpError, InvalidElement, SchemaError
+from coneccp.dc import ScalarDcFunction, quadratic_oracle, zero_oracle
+from coneccp.errors import (ConeCcpError, InvalidElement, OracleCheckError,
+                            SchemaError)
 from coneccp.library import (CURVATURE_RTOL, _poly_oracle, builtin, example29,
                              nonconvex_witness, polynomial_constraint_map,
                              polynomial_nonconvexity, quadratic_hessian_bound,
@@ -15,6 +17,28 @@ from coneccp.library import (CURVATURE_RTOL, _poly_oracle, builtin, example29,
                              stiefel11_builtin, with_strong_convexity)
 from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.problem_io import load_problem
+
+
+class TestQuadraticSdpChecks:
+    def test_block_counts_must_agree(self):
+        with pytest.raises(InvalidElement, match="B must be"):
+            quadratic_sdp(C=-np.eye(2), B=np.zeros((2, 2, 2)),
+                          A=np.zeros((3, 3, 2, 2)))
+        with pytest.raises(InvalidElement, match="B must be"):
+            quadratic_sdp(C=-np.eye(2), B=np.zeros((2, 3, 3)),
+                          A=np.zeros((2, 2, 2, 2)))
+        q = quadratic_sdp(C=-np.eye(2), B=np.zeros((3, 2, 2)),
+                          A=np.zeros((3, 3, 2, 2)))
+        assert lambda_max_scalarize(q.constraint.value(np.zeros(3))).value \
+            == pytest.approx(-1.0)
+
+    def test_a_supplied_objective_is_checked_unless_told_not_to(self):
+        concave = ScalarDcFunction(g0=quadratic_oracle(-np.eye(2)),
+                                   h0=zero_oracle(2), dim=2)
+        with pytest.raises(OracleCheckError):
+            quadratic_sdp(0, objective=concave)
+        assert quadratic_sdp(0, objective=concave,
+                             validate=False).objective is concave
 
 
 class TestExample29:

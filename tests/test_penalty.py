@@ -232,3 +232,17 @@ class TestConfigValidation:
     def test_max_iter_must_be_a_nonnegative_int(self, max_iter):
         with pytest.raises(ConeCcpError, match="max_iter"):
             PenaltyConfig(tau0=1.0, mu=2.0, max_iter=max_iter)
+
+
+def test_the_seed_decomposes_each_block_once(monkeypatch):
+    # the seed record asks for the positive part and the distance to -K of
+    # one F(x0); quadratic_sdp has one PSD block of order 2
+    q = quadratic_sdp(3)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw:
+                        calls.append(1) or real(a, *args, **kw))
+    tr = run_penalty_ccp(q, [2.5, -2.5],
+                         PenaltyConfig(tau0=1.0, mu=2.0, max_iter=0))
+    assert len(calls) == 1
+    assert tr.records[0].infeas > 0.0

@@ -119,3 +119,30 @@ def test_package_reaches_no_private_numpy_module():
              for line, name in private_numpy_uses(path.read_text())]
     if found:
         pytest.fail("\n".join(found))
+
+
+def element_constructions(source):
+    """Lines of each direct ``ConeElement(...)`` call in a source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name == "ConeElement":
+                yield node.lineno
+
+
+def test_element_constructions_are_found():
+    source = ("a = ConeElement(c, b)\nb = cones.ConeElement(c, b)\n"
+              "c = x.ConeElement\nd: ConeElement = e\nf = cone.element(b)\n")
+    assert list(element_constructions(source)) == [1, 2]
+
+
+def test_only_cones_constructs_elements():
+    # an element keeps facts computed from its blocks, so every element must
+    # come from Cone.element or element arithmetic, whose blocks are
+    # read-only
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cones.py"
+             for line in element_constructions(path.read_text())]
+    if found:
+        pytest.fail("\n".join(found))
