@@ -25,7 +25,7 @@ from . import inner
 from .cones import ConeElement, dist_to_neg_cone
 from .errors import (ConeCcpError, InfeasibleStart, InvariantViolation,
                      SubproblemInfeasible)
-from .feasible import as_point
+from .feasible import point_of
 from .subproblem import build_constrained
 
 CRITICAL_FIXED_POINT = "critical_fixed_point"
@@ -119,9 +119,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
     accepted iterate.
     """
     cfg = config or CcpConfig()
-    x = as_point(x0, problem.feasible_set.dim)
-    if not problem.feasible_set.contains(x):
-        raise InfeasibleStart("x0 is outside the feasible set")
+    x = point_of(problem.feasible_set, x0)
     infeas0 = dist_to_neg_cone(problem.constraint.value(x))
     if infeas0 > inner.TOL_FEAS:
         raise InfeasibleStart(

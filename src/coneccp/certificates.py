@@ -8,7 +8,9 @@ comparison for the penalized subproblem at (possibly infeasible) points.
 All residuals are computed for one supplied subgradient of the concave
 objective part; oracles return single elements, never subdifferential sets.
 Each function raises :class:`~coneccp.errors.ConeCcpError` for a point that
-is not a finite vector of the problem's dimension.
+is not a finite vector of the problem's dimension; the criticality residuals
+and :func:`certify` raise :class:`~coneccp.errors.InfeasibleStart` for one
+outside the set A, box or affine rows, as the solvers do for a start there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import inner
 from .cones import (ConeElement, dist_to_neg_cone, eigenpairs,
                     inner as cone_inner, project_pos)
 from .errors import InfeasibleStart, SubproblemInfeasible
-from .feasible import as_point
+from .feasible import as_point, point_of
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
 SUBPROBLEM_TOL = 1e-9  # optimality tolerance of the subproblem solves
@@ -59,7 +61,7 @@ def criticality_residual(problem, x, v=None) -> float:
     Nonnegative up to solver tolerance; at or below tolerance the point is
     critical for the supplied subgradient choice.
     """
-    x = as_point(x, problem.feasible_set.dim)
+    x = point_of(problem.feasible_set, x)
     if infeasibility(problem, x) > 10.0 * inner.TOL_FEAS:
         raise InfeasibleStart("criticality residual needs a feasible point")
     if v is None:
@@ -75,10 +77,11 @@ def criticality_residual(problem, x, v=None) -> float:
 def generalized_criticality_residual(problem, x, tau, v=None) -> float:
     """Gap between (x, minimal slack) and the penalized subproblem optimum.
 
-    Defined at infeasible points as well; at or below tolerance the point is
-    generalized-critical for penalty tau times the cone identity.
+    Defined at points of A that violate the cone constraint as well; at or
+    below tolerance the point is generalized-critical for penalty tau times
+    the cone identity.
     """
-    x = as_point(x, problem.feasible_set.dim)
+    x = point_of(problem.feasible_set, x)
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_penalized(problem, x, v, tau)
@@ -139,7 +142,7 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
 
 def certify(problem, x, v=None, lam=None) -> CriticalityCertificate:
     """Assemble the certificate a solver run hands to a reviewer."""
-    x = as_point(x, problem.feasible_set.dim)
+    x = point_of(problem.feasible_set, x)
     if v is None:
         v = problem.objective.h0.subgrad(x)
     gap = criticality_residual(problem, x, v)

@@ -10,7 +10,9 @@ Subcommands:
     verify convexity     randomized cone-convexity check of the constraint map
     list builtins        names accepted by --builtin
 
-Exit codes: 0 success, 2 infeasible start (solve ccp), 3 schema/problem-file
+Exit codes: 0 success, 2 infeasible start (an --x0 outside the box or affine
+rows of the set, for solve and check; or one that violates the cone
+constraint, for solve ccp and check criticality), 3 schema/problem-file
 error, malformed --x0, negative --max-iter or out-of-range --samples, 4
 iteration limit (outer loop or inner solver), 64 usage error.
 """

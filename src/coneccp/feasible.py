@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .errors import ConeCcpError
+from .errors import ConeCcpError, InfeasibleStart
 
 CONTAINS_TOL = 1e-9  # relative slack of membership tests
 
@@ -59,8 +59,13 @@ class FeasibleSet:
         return self.lo.size
 
     def contains(self, x) -> bool:
+        """Whether x is in the set, to ``CONTAINS_TOL`` relative to |x|; a
+        point with a NaN or infinite entry never is."""
         x = np.asarray(x, dtype=float)
-        slack = CONTAINS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))
+        size = float(np.abs(x).max(initial=0.0))  # NaN if any entry is
+        if not size < np.inf:
+            return False
+        slack = CONTAINS_TOL * (1.0 + size)
         if np.any(x < self.lo - slack) or np.any(x > self.hi + slack):
             return False
         if self.affine_A.shape[0]:
@@ -91,4 +96,16 @@ def as_point(x, dim: int) -> np.ndarray:
     if x.shape != (dim,) or not np.isfinite(x).all():
         raise ConeCcpError(
             f"expected a finite point of dimension {dim}, got {x.tolist()}")
+    return x
+
+
+def point_of(fs: FeasibleSet, x) -> np.ndarray:
+    """x checked by :func:`as_point`, then required to lie in ``fs``.
+
+    Raises :class:`InfeasibleStart` for a point outside the box or the
+    affine rows: a solver's start, or a point a certificate is asked at.
+    """
+    x = as_point(x, fs.dim)
+    if not fs.contains(x):
+        raise InfeasibleStart("the point is outside the feasible set A")
     return x

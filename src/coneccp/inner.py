@@ -13,7 +13,10 @@ the previous master of the same run.
 
 One-dimensional subproblems take a shortcut: a safeguarded false-position
 search brackets the sign change of the subgradient, and the boundary of the
-constraint's sublevel set, down to adjacent floats.  It must agree with the
+constraint's sublevel set, down to adjacent floats.  A constrained search
+starts from a feasible point, the caller's iterate when it is one, where
+the objective's subgradient tells on which side the minimizer lies, and
+searches only the boundary on that side.  It must agree with the
 general path within tolerance and is what the analytic regression tests
 exercise.
 
@@ -42,6 +45,9 @@ TOL_FEAS = 1e-8  # feasibility tolerance on constraint values
 MAX_CUTS = 5000  # cuts one Kelley loop may make before ITER_LIMIT
 _LB_SLACK = 1e-7  # tolerance of the monotone-lower-bound check
 _BISECT_ITERS = 200  # steps of a 1-D search, and the halvings of its width
+# scale of a boundary search's truncated steps (_bracket); on 1-D
+# linearizations 0.01 to 0.07 take the same evaluations to within 3 %
+_TRUNCATION = 0.05
 
 
 @dataclass
@@ -79,9 +85,17 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8,
     ``certificate``) hold for the oracles as computed, with 4 ulps left for
     rounding between nearby floats; rounding inside the oracles themselves,
     such as an ``eigh``'s backward error, is outside the certificate.
+
+    ``feasible_hint`` is a point of the set, such as the outer loop's
+    iterate.  The Kelley loop makes its first cut there instead of at the
+    set's center.  A one-dimensional constrained search starts there when
+    the constraint holds at it, and then runs no minimization of the
+    constraint.  A hint outside the set is ignored: on the Kelley path one
+    that ``FeasibleSet.contains`` rejects, in one dimension one outside
+    [lo, hi] after the affine rows.
     """
     if spec.feasible_set.dim == 1:
-        return _solve_1d(spec)
+        return _solve_1d(spec, feasible_hint)
     return _solve_general(spec, tol, feasible_hint)
 
 
@@ -230,7 +244,8 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
 def _solve_general(spec, tol, feasible_hint=None):
     fs = spec.feasible_set
     con = spec.constraint
-    seed = fs.center() if feasible_hint is None else feasible_hint
+    seed = (feasible_hint if feasible_hint is not None
+            and fs.contains(feasible_hint) else fs.center())
     run = _kelley_min(spec.objective.value, spec.objective.subgrad, fs, tol,
                       [seed], constraint=con)
     if run.status != INFEASIBLE and run.x is not None:
@@ -285,6 +300,17 @@ def _bracket(fn, a, fa, b, fb, stop_at_zero):
     onto an end steps one float into the bracket, or as far as the bracket
     width bisection has at its cap if that is farther.
 
+    A boundary search (not ``stop_at_zero``) is of a convex fn from its
+    inside end a, where every secant root lands inside, so the outside end
+    would move by midpoints alone.  There each secant step but the first
+    after a fresh start is truncated as in the ITP method (Oliveira &
+    Takahashi, ACM TOMS 47, 2020): it moves from the secant root toward the
+    midpoint by ITP's kappa1 |b - a|**2, with kappa1 ``_TRUNCATION`` over
+    the first width so that the constant is unitless, or to the midpoint if
+    that is nearer.  Near the boundary that lands it outside, so the bracket
+    shrinks from both ends.  A subgradient search keeps the plain steps: its
+    subgradients jump at kinks, where no step rule gains.
+
     Stops where bisection stops: at adjacent floats, at the width of
     ``_BISECT_ITERS`` halvings, after ``_BISECT_ITERS`` steps, or, when
     ``stop_at_zero``, at an exact zero of fn, returned as both ends.  So a
@@ -305,6 +331,9 @@ def _bracket(fn, a, fa, b, fb, stop_at_zero):
             x = m
         else:
             x = a + (b - a) * (wa / (wa - wb))
+            if kept and not stop_at_zero:
+                delta = _TRUNCATION * abs(b - a) * (abs(b - a) / width)
+                x = x + math.copysign(delta, m - x) if delta < abs(m - x) else m
             toward_b, toward_a = math.nextafter(a, b), math.nextafter(b, a)
             if a < b:
                 x = min(max(x, toward_b, a + res), toward_a, b - res)
@@ -373,31 +402,44 @@ def _scalar(value, subgrad):
             lambda x: float(subgrad(np.array([x]))[0]))
 
 
-def _solve_1d(spec: SubproblemSpec) -> SolveReport:
-    """A one-dimensional subproblem by bracketing, down to adjacent floats:
-    the constraint's minimum first (infeasible when above ``TOL_FEAS``),
-    then the two ends of {constraint <= 0} around it, then the objective's
-    minimum between them."""
+def _solve_1d(spec: SubproblemSpec, feasible_hint=None) -> SolveReport:
+    """A one-dimensional subproblem by bracketing, down to adjacent floats.
+
+    In constrained mode the search starts from a point c of
+    {constraint <= 0}: the hint when it lies in [lo, hi] and meets the
+    constraint, else the constraint's minimum (infeasible when above
+    ``TOL_FEAS``).  A convex objective has f(x) >= f(c) + g (x - c) for its
+    subgradient g at c, so only the end of {constraint <= 0} on the side
+    where g descends is searched for, both ends when g is zero or NaN, and
+    the objective is minimized between that end and c.
+    """
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     if empty:
         return SolveReport(None, np.nan, np.nan, INFEASIBLE,
                            certificate=np.inf)
 
     a, b = lo, hi
+    f, df = _scalar(spec.objective.value, spec.objective.subgrad)
     con = spec.constraint
     if con is not None:
         phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
-        x_min, phi_min, phi_lb = _bisect_min(phi, dphi, lo, hi)
-        if phi_min > TOL_FEAS:
-            return SolveReport(None, np.nan, np.nan, INFEASIBLE,
-                               certificate=max(phi_lb, 0.0))
-        if phi_min > 0.0:
-            a = b = x_min
+        phi_c = np.nan
+        if feasible_hint is not None:
+            c = float(feasible_hint[0])
+            if lo <= c <= hi:
+                phi_c = phi(c)
+        if not phi_c <= 0.0:
+            c, phi_c, phi_lb = _bisect_min(phi, dphi, lo, hi)
+            if phi_c > TOL_FEAS:
+                return SolveReport(None, np.nan, np.nan, INFEASIBLE,
+                                   certificate=max(phi_lb, 0.0))
+        if phi_c > 0.0:
+            a = b = c
         else:
-            a = _bisect_root(phi, lo, x_min, phi_min)
-            b = _bisect_root(phi, hi, x_min, phi_min)
-    x, fx, lbv = _bisect_min(
-        *_scalar(spec.objective.value, spec.objective.subgrad), a, b)
+            g = df(c)
+            a = c if g < 0.0 else _bisect_root(phi, lo, c, phi_c)
+            b = c if g > 0.0 else _bisect_root(phi, hi, c, phi_c)
+    x, fx, lbv = _bisect_min(f, df, a, b)
     return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)
 
 

@@ -20,8 +20,8 @@ from . import inner
 from .ccp import (FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, Record, Trace,
                   check_max_iter)
 from .cones import dist_to_neg_cone, inner as cone_inner, project_pos
-from .errors import ConeCcpError, InfeasibleStart, InvariantViolation
-from .feasible import as_point
+from .errors import ConeCcpError, InvariantViolation
+from .feasible import point_of
 from .subproblem import build_penalized, recover_slack
 
 FIXED_POINT = "fixed_point"
@@ -71,9 +71,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     with termination ``INNER_ITER_LIMIT`` at the last accepted iterate.
     """
     cfg = config
-    x = as_point(x0, problem.feasible_set.dim)
-    if not problem.feasible_set.contains(x):
-        raise InfeasibleStart("x0 is outside the feasible set A")
+    x = point_of(problem.feasible_set, x0)
     identity = problem.constraint.cone.identity()
     e_norm = identity.norm()
 

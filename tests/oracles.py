@@ -112,7 +112,9 @@ def penalized_reference(problem, x_n, v_n, tau, x):
 # ---------------------------------------------------------------------------
 # The one-dimensional searches as first written: plain bisection, halving the
 # bracket until the midpoint rounds onto an end or 200 halvings are done.
-# The bracketing search in coneccp.inner must agree with them.
+# The bracketing search in coneccp.inner must agree with them; and the
+# two-sided subproblem search around the constraint's minimum, which the
+# one-sided search from a feasible point must agree with.
 
 
 def bisect_min_reference(f, df, lo, hi, iters=200):
@@ -160,6 +162,36 @@ def bisect_root_reference(phi, outside, inside, iters=200):
         else:
             outside = m
     return inside
+
+
+def solve_1d_reference(spec):
+    """A one-dimensional subproblem as first solved: the constraint's minimum
+    first (infeasible when above ``TOL_FEAS``), then both ends of
+    {constraint <= 0} around it, then the objective's minimum between them.
+    It takes no hint.  The one-sided search of coneccp.inner must agree."""
+    from coneccp.inner import (INFEASIBLE, OPTIMAL, TOL_FEAS, SolveReport,
+                               _bisect_min, _bisect_root, _bounds_1d, _scalar)
+
+    lo, hi, empty = _bounds_1d(spec.feasible_set)
+    if empty:
+        return SolveReport(None, np.nan, np.nan, INFEASIBLE,
+                           certificate=np.inf)
+    a, b = lo, hi
+    con = spec.constraint
+    if con is not None:
+        phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
+        x_min, phi_min, phi_lb = _bisect_min(phi, dphi, lo, hi)
+        if phi_min > TOL_FEAS:
+            return SolveReport(None, np.nan, np.nan, INFEASIBLE,
+                               certificate=max(phi_lb, 0.0))
+        if phi_min > 0.0:
+            a = b = x_min
+        else:
+            a = _bisect_root(phi, lo, x_min, phi_min)
+            b = _bisect_root(phi, hi, x_min, phi_min)
+    x, fx, lbv = _bisect_min(
+        *_scalar(spec.objective.value, spec.objective.subgrad), a, b)
+    return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)
 
 
 # ---------------------------------------------------------------------------

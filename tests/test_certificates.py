@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.library import example29, quadratic_sdp, zero_oracle
 from coneccp.dc import ScalarDcFunction, quadratic_oracle
 from coneccp.library import ProblemInstance, polynomial_constraint_map
-from coneccp.feasible import box
+from coneccp.feasible import FeasibleSet, box
 
 
 class TestCriticalityResidual:
@@ -181,6 +183,14 @@ class TestCertify:
         assert cert.slater is not None and cert.slater.holds
 
 
+# A point outside A: example 29 at 12, outside its box [-10, 10], where
+# x^2 - x^4 <= 0 holds; and 1.2 against the row x <= 1 added to the box.
+def _with_row():
+    p = example29()
+    fs = FeasibleSet([-10.0], [10.0], affine_A=[[1.0]], affine_b=[1.0])
+    return dataclasses.replace(p, feasible_set=fs)
+
+
 ENTRY_POINTS = {
     "run_ccp": run_ccp,
     "run_penalty_ccp": lambda p, x: run_penalty_ccp(
@@ -193,6 +203,20 @@ ENTRY_POINTS = {
         p, x, [0.0] * p.feasible_set.dim, p.constraint.cone.identity()),
     "certify": certify,
 }
+SET_CHECKED = ["run_ccp", "run_penalty_ccp", "criticality_residual",
+               "generalized_criticality_residual", "certify"]
+
+
+# the solvers and the certificates share one check of a point against A
+@pytest.mark.parametrize("entry", [ENTRY_POINTS[k] for k in SET_CHECKED],
+                         ids=SET_CHECKED)
+@pytest.mark.parametrize("make, x", [(example29, [12.0]), (example29, [-10.5]),
+                                     (_with_row, [1.2])],
+                         ids=["above_box", "below_box", "past_row"])
+def test_entry_points_refuse_a_point_outside_the_set(entry, make, x):
+    with pytest.raises(InfeasibleStart,
+                       match="^the point is outside the feasible set A$"):
+        entry(make(), x)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)

@@ -222,6 +222,17 @@ class TestCheckCommands:
                              "example29", "--x0", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("what", [["criticality"],
+                                      ["generalized", "--tau0", "1"]])
+    @pytest.mark.parametrize("x0", ["12", "-10.5"])
+    def test_check_outside_the_box_exits_2(self, capsys, what, x0):
+        # example 29's box is [-10, 10]; both points meet its cone constraint
+        code, out, err = run_cli(capsys, "check", *what, "--builtin",
+                                 "example29", f"--x0={x0}", "--json")
+        assert code == 2
+        assert out == ""
+        assert "outside the feasible set" in err
+
     def test_generalized_check(self, capsys):
         code, out, _ = run_cli(capsys, "check", "generalized", "--builtin",
                                "example29", "--x0=-1", "--tau0", "1.5",

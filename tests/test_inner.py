@@ -13,19 +13,27 @@ from coneccp.ccp import CcpConfig, run_ccp
 from coneccp.dc import ConvexOracle, quadratic_oracle
 from coneccp.errors import ConeCcpError, InvariantViolation
 from coneccp.feasible import FeasibleSet, box
-from coneccp.library import example29, quadratic_sdp, stiefel
+from coneccp.library import (example29, polynomial_constraint_map,
+                              quadratic_sdp, stiefel, stiefel11_builtin)
 from coneccp.penalty import PenaltyConfig, run_penalty_ccp
-from coneccp.subproblem import (build_constrained, build_penalized,
-                                linearize_constraint)
+from coneccp.subproblem import (SubproblemSpec, build_constrained,
+                                build_penalized, linearize_constraint)
 
 
 from oracles import (bisect_min_reference, bisect_root_reference,
-                     projected_gradient)
+                     projected_gradient, solve_1d_reference)
 
 
 def bare_spec(oracle, fs):
-    from coneccp.subproblem import SubproblemSpec
     return SubproblemSpec(objective=oracle, feasible_set=fs)
+
+
+def same_report(a, b):
+    """Two reports (or probes) agree in type and in every field's bits."""
+    assert type(a) is type(b)
+    for name in vars(a):
+        assert np.asarray(getattr(a, name)).tobytes() == \
+            np.asarray(getattr(b, name)).tobytes(), name
 
 
 class TestAgainstProjectedGradient:
@@ -153,12 +161,6 @@ class TestPathsAgree:
         plain = box([-1.25], [1.5])
         assert inner._bounds_1d(rows) == (-1.25, 1.5, False)
 
-        def same(a, b):
-            assert type(a) is type(b)
-            for name in vars(a):
-                assert np.asarray(getattr(a, name)).tobytes() == \
-                    np.asarray(getattr(b, name)).tobytes(), name
-
         for z in (1.2, -1.2):
             x = np.array([z])
             v = p.objective.h0.subgrad(x)
@@ -166,10 +168,10 @@ class TestPathsAgree:
                           lambda q: build_penalized(q, x, v, 2.0)):
                 reps = [inner.solve_convex(build(dataclasses.replace(
                     p, feasible_set=fs))) for fs in (rows, plain)]
-                same(*reps)
+                same_report(*reps)
             lin = linearize_constraint(p, x)
-            same(inner.slater_probe(lin, rows),
-                 inner.slater_probe(lin, plain))
+            same_report(inner.slater_probe(lin, rows),
+                        inner.slater_probe(lin, plain))
 
 
 class TestInfeasibility:
@@ -346,8 +348,10 @@ def test_boundary_at_zero_is_found_at_zero():
 
 def test_one_dimensional_runs_evaluate_few_linearizations(monkeypatch):
     # a count, not a time: the CCP run of example 29 from 2 and the penalty
-    # run of acceptance criterion 1 take 279 and 104 evaluations of the
-    # linearization; plain bisection takes 1191 and 782
+    # run of acceptance criterion 1 take 85 and 93 evaluations of the
+    # linearization; the two-sided search around the constraint's minimum,
+    # with untruncated steps, took 271 for the CCP run, and plain bisection
+    # 1191 and 782
     from coneccp import subproblem
     from coneccp.ccp import CcpConfig, run_ccp
     from coneccp.penalty import PenaltyConfig, run_penalty_ccp
@@ -362,11 +366,125 @@ def test_one_dimensional_runs_evaluate_few_linearizations(monkeypatch):
 
     monkeypatch.setattr(subproblem.LinearizedConstraint, "value", counted)
     run_ccp(example29(), [2.0], CcpConfig())
-    assert calls <= 300
+    assert calls <= 100
     calls = 0
     run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
         tau0=1.0, mu=2.0, kappa=1e-6, tau_max=1024.0))
     assert calls <= 115
+
+
+# ---------------------------------------------------------------------------
+# The one-sided 1-D search from a feasible point against the two-sided one
+
+
+def _random_linearization(kind, rng):
+    """(problem, base point): example 29, the scalar Stiefel instance, or up
+    to three convex polynomial rows c0 + c1 x + c2 x^2 - (h2 x^2 + h4 x^4)."""
+    if kind == "e29":
+        return example29(), rng.uniform(-2.5, 2.5)
+    if kind == "s11":
+        return stiefel11_builtin(), rng.uniform(-2.0, 2.0)
+    rows = int(rng.integers(1, 4))
+    g = [[rng.uniform(-2.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)]
+         for _ in range(rows)]
+    h = [[0.0, 0.0, rng.uniform(0.0, 1.0), 0.0, rng.uniform(0.0, 0.5)]
+         for _ in range(rows)]
+    problem = dataclasses.replace(
+        example29(), constraint=polynomial_constraint_map(g, h))
+    return problem, rng.uniform(-2.5, 2.5)
+
+
+def test_one_sided_search_agrees_with_the_two_sided_one():
+    """Constrained 1-D subproblems with random convex quadratic objectives,
+    solved from no hint, from the base point, from a random point of the box
+    (often infeasible) and from a point outside the box, agree with the
+    two-sided search of the constraint's minimum: same status, x within 4
+    ulps, and each lower bound at most the other's value."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(["e29", "s11", "poly"]),
+           st.sampled_from(["none", "base", "box", "outside"]),
+           st.integers(0, 2 ** 32 - 1))
+    def check(kind, hint, seed):
+        rng = np.random.default_rng(seed)
+        problem, z = _random_linearization(kind, rng)
+        lo, hi = rng.uniform(-3.0, -0.5), rng.uniform(0.5, 3.0)
+        q = float(rng.choice([0.0, rng.uniform(1e-3, 10.0)], p=[0.1, 0.9]))
+        m = rng.uniform(lo - 1.0, hi + 1.0)
+        objective = quadratic_oracle(np.array([[q]]), np.array([-q * m]))
+        lin = linearize_constraint(problem, np.array([z]))
+        spec = SubproblemSpec(objective, box([lo], [hi]), lin, lin)
+        x_hint = {"none": None, "base": [z], "box": [rng.uniform(lo, hi)],
+                  "outside": [hi + 1.0]}[hint]
+        rep = inner.solve_convex(spec, feasible_hint=x_hint)
+        ref = solve_1d_reference(spec)
+        assert rep.status == ref.status
+        if ref.status == inner.INFEASIBLE:
+            same_report(rep, ref)
+            seen.add("infeasible")
+            return
+        x, x_ref = rep.x_hat[0], ref.x_hat[0]
+        assert abs(x - x_ref) <= 4.0 * math.ulp(max(abs(x), abs(x_ref)))
+        assert rep.objective_value - rep.gap_bound <= ref.objective_value
+        assert ref.objective_value - ref.gap_bound <= rep.objective_value
+        inside = q > 0.0 and abs(x - m) <= 1e-9 * (1.0 + abs(m))
+        seen.add(("interior" if inside else "boundary",
+                  x_hint is not None and lo <= x_hint[0] <= hi
+                  and lin.scalarized(np.array(x_hint)) <= 0.0))
+
+    check()
+    assert seen == {"infeasible", ("interior", True), ("interior", False),
+                    ("boundary", True), ("boundary", False)}
+
+
+def test_a_feasible_hint_is_searched_from_toward_descent(monkeypatch):
+    """Example 29 linearized at 2 with objective (x - 0.5)^2 and hint 2: the
+    objective rises at 2, so the constraint is evaluated only at 2 and
+    toward the lower end, and never minimized."""
+    from coneccp import subproblem
+
+    p = example29()
+    x = np.array([2.0])
+    spec = build_constrained(p, x, p.objective.h0.subgrad(x))
+    at, subgrads = [], []
+    value = subproblem.LinearizedConstraint.value
+    subgrad = subproblem.LinearizedConstraint.scalarized_subgrad
+    monkeypatch.setattr(subproblem.LinearizedConstraint, "value",
+                        lambda self, y: at.append(y[0]) or value(self, y))
+    monkeypatch.setattr(subproblem.LinearizedConstraint, "scalarized_subgrad",
+                        lambda self, y: subgrads.append(y[0]) or
+                        subgrad(self, y))
+    rep = inner.solve_convex(spec, feasible_hint=x)
+    assert at and max(at) == 2.0
+    assert subgrads == []
+    same_report(rep, solve_1d_reference(
+        build_constrained(p, x, p.objective.h0.subgrad(x))))
+
+
+@pytest.mark.parametrize("hint", [[12.0], [-10.5], [np.nan], [0.5]],
+                         ids=["above", "below", "nan", "infeasible"])
+def test_a_1d_hint_outside_the_set_or_constraint_is_ignored(hint):
+    p = example29()
+    x = np.array([2.0])
+    v = p.objective.h0.subgrad(x)
+    plain = inner.solve_convex(build_constrained(p, x, v))
+    same_report(inner.solve_convex(build_constrained(p, x, v),
+                                    feasible_hint=hint), plain)
+
+
+@pytest.mark.parametrize("hint", [[5.0, 5.0], [np.nan, np.nan],
+                                  [0.0, np.inf]], ids=["far", "nan", "inf"])
+def test_a_hint_outside_the_set_does_not_seed_kelley(hint):
+    fs = box([-1.0, -1.0], [1.0, 1.0])
+    assert not fs.contains(hint)
+    spec = bare_spec(quadratic_oracle(np.eye(2), -10.0 * np.ones(2)), fs)
+    plain = inner.solve_convex(spec)
+    hinted = inner.solve_convex(spec, feasible_hint=np.array(hint))
+    assert fs.contains(hinted.x_hat)
+    assert hinted.x_hat == pytest.approx([1.0, 1.0])
+    same_report(hinted, plain)
 
 
 def test_master_outgrowing_its_buffers_keeps_every_bit(monkeypatch):
