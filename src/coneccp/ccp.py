@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
-from .cones import ConeElement, dist_to_neg_cone
+from .cones import TOL_FEAS, TOL_FEAS_POINT, ConeElement, dist_to_neg_cone
 from .errors import (ConeCcpError, InfeasibleStart, InvariantViolation,
                      SubproblemInfeasible)
 from .feasible import point_of
@@ -39,6 +39,12 @@ INNER_ITER_LIMIT = "inner_iter_limit"
 FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
 SMALL_STEP_TOL = 1e-8  # step that ends a run with strongly convex h0
 DESCENT_SLACK = 1e-8
+
+
+def is_fixed_point(step: float, x_new: np.ndarray) -> bool:
+    """Whether a step of length ``step`` that ended at x_new stopped the run:
+    at most ``FIXED_POINT_RTOL`` relative to |x_new|."""
+    return step <= FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x_new)))
 
 
 def check_max_iter(max_iter) -> None:
@@ -121,7 +127,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
     cfg = config or CcpConfig()
     x = point_of(problem.feasible_set, x0)
     infeas0 = dist_to_neg_cone(problem.constraint.value(x))
-    if infeas0 > inner.TOL_FEAS:
+    if infeas0 > TOL_FEAS:
         raise InfeasibleStart(
             f"x0 violates the cone constraint by {infeas0:.3e}")
 
@@ -144,15 +150,16 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
         infeas_new = dist_to_neg_cone(problem.constraint.value(x_new))
         trace.records.append(
             Record(n + 1, x_new, f_new, infeas_new, rep.status))
-        if infeas_new > 1e-7:
+        if infeas_new > TOL_FEAS_POINT:
             raise InvariantViolation(
-                f"iterate infeasibility {infeas_new:.3e} exceeds 1e-7")
+                f"iterate infeasibility {infeas_new:.3e} exceeds "
+                f"{TOL_FEAS_POINT:g}")
         if f_new > f + DESCENT_SLACK * (1.0 + abs(f)):
             raise InvariantViolation(
                 f"objective increased from {f} to {f_new}")
         step = float(np.linalg.norm(x_new - x))
         x, f_prev, f = x_new, f, f_new
-        if step <= FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x_new))):
+        if is_fixed_point(step, x_new):
             trace.termination = CRITICAL_FIXED_POINT
             break
         if abs(f_prev - f) < cfg.eps_f:

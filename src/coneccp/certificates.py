@@ -20,14 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner
-from .cones import (ConeElement, dist_to_neg_cone, eigenpairs,
-                    inner as cone_inner, project_pos)
+from .cones import (TOL_FEAS_POINT, ConeElement, dist_to_neg_cone,
+                    eigenpairs, inner as cone_inner, project_pos)
 from .errors import InfeasibleStart, SubproblemInfeasible
 from .feasible import as_point, point_of
 from .subproblem import build_constrained, build_penalized, linearize_constraint
-
-SUBPROBLEM_TOL = 1e-9  # optimality tolerance of the subproblem solves
-
 
 @dataclass
 class KktResiduals:
@@ -62,12 +59,12 @@ def criticality_residual(problem, x, v=None) -> float:
     critical for the supplied subgradient choice.
     """
     x = point_of(problem.feasible_set, x)
-    if infeasibility(problem, x) > 10.0 * inner.TOL_FEAS:
+    if infeasibility(problem, x) > TOL_FEAS_POINT:
         raise InfeasibleStart("criticality residual needs a feasible point")
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_constrained(problem, x, v)
-    rep = inner.solve_convex(spec, tol=SUBPROBLEM_TOL, feasible_hint=x)
+    rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL, feasible_hint=x)
     if rep.status == inner.INFEASIBLE:
         raise SubproblemInfeasible(
             "linearized subproblem infeasible at a feasible point")
@@ -85,7 +82,7 @@ def generalized_criticality_residual(problem, x, tau, v=None) -> float:
     if v is None:
         v = problem.objective.h0.subgrad(x)
     spec = build_penalized(problem, x, v, tau)
-    rep = inner.solve_convex(spec, tol=SUBPROBLEM_TOL, feasible_hint=x)
+    rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL, feasible_hint=x)
     value_at_x = spec.objective.value(x)
     return float(value_at_x - rep.objective_value)
 

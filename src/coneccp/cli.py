@@ -13,8 +13,9 @@ Subcommands:
 Exit codes: 0 success, 2 infeasible start (an --x0 outside the box or affine
 rows of the set, for solve and check; or one that violates the cone
 constraint, for solve ccp and check criticality), 3 schema/problem-file
-error, malformed --x0, negative --max-iter or out-of-range --samples, 4
-iteration limit (outer loop or inner solver), 64 usage error.
+error, malformed --x0, negative --max-iter or an out-of-range --samples,
+--tol, --tau0, --mu or --kappa, 4 iteration limit (outer loop or inner
+solver), 64 usage error.
 """
 
 from __future__ import annotations
@@ -204,6 +205,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not args.tol >= 0:
+        raise ConeCcpError(f"--tol must be nonnegative, got {args.tol}")
     problem = _load(args)
     x = _parse_x0(args.x0)
     if args.what == "criticality":

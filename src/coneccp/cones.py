@@ -268,9 +268,24 @@ def project_pos(y: ConeElement) -> ConeElement:
                    for a, (_, w, v) in zip(y.blocks, eigenpairs(y)))
 
 
+# Feasibility tolerance on constraint values, and the largest rounding of F
+# the DC regularizer may make.
+TOL_FEAS = 1e-8
+# Bound on dist_to_neg_cone at a CCP iterate or a point to certify: a
+# subproblem meets TOL_FEAS on its scalarized linearization, not on F.
+TOL_FEAS_POINT = 10.0 * TOL_FEAS
+
+
 def dist_to_neg_cone(y: ConeElement) -> float:
     """Distance from y to -K in the canonical norm; zero iff y is in -K."""
     return project_pos(y).norm()
+
+
+def check_penalty_scale(t_scale: float) -> None:
+    """Raise :class:`InvalidPenalty` unless t_scale is positive and finite."""
+    if not 0.0 < t_scale < math.inf:
+        raise InvalidPenalty(
+            f"penalty scale must be positive and finite, got {t_scale}")
 
 
 def slack_cost(t_scale: float, y: ConeElement) -> tuple[float, ConeElement]:
@@ -280,8 +295,7 @@ def slack_cost(t_scale: float, y: ConeElement) -> tuple[float, ConeElement]:
     part of y, so the cost is tau times the trace/sum of that positive part.
     Returns (cost, minimizer).
     """
-    if not t_scale > 0.0:
-        raise InvalidPenalty(f"penalty scale must be positive, got {t_scale}")
+    check_penalty_scale(t_scale)
     s_star = project_pos(y)
     base = inner(s_star.cone.identity(), s_star)
     return t_scale * base, s_star

@@ -22,7 +22,8 @@ import numpy as np
 
 # lambda_max_scalarize is not called here, but the benchmark's tracer
 # (solverbench/layers.py) counts its calls by patching dc.lambda_max_scalarize
-from .cones import (Cone, ConeElement, PsdCone, lambda_max_scalarize)
+from .cones import (TOL_FEAS, Cone, ConeElement, PsdCone,
+                    lambda_max_scalarize)
 from .convexity import verify_k_convexity
 from .errors import BoundTooSmall, OracleCheckError
 
@@ -37,10 +38,6 @@ DERIVATIVE_CHECK_SAMPLES = 10
 HESSIAN_SAMPLES = 25
 HESSIAN_STEP = 1e-4
 HESSIAN_SAFETY = 1.5
-# Largest rounding, eps * (mu/2) * max |x|^2 over the box, that the
-# regularizer may put on F: the inner solver's feasibility tolerance
-# (inner.TOL_FEAS, which this module cannot import without a cycle).
-REGULARIZER_ROUNDING_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +423,8 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
 
     The linearization subtracts (mu/2)|x_n|^2 I from G, so F survives in it
     only to about eps * (mu/2) * |x|^2.  Given a ``box`` (lo, hi), a mu whose
-    rounding there exceeds ``REGULARIZER_ROUNDING_TOL`` raises ValueError.
+    rounding there exceeds the feasibility tolerance ``cones.TOL_FEAS``
+    raises ValueError.
     """
     notes: tuple[str, ...] = ()
     if hessian_bound is None:
@@ -449,10 +447,10 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
         radius2 = sum(max(a * a, b * b) for a, b in zip(
             np.ravel(box[0]).tolist(), np.ravel(box[1]).tolist()))
         rounding = math.ulp(1.0) * 0.5 * float(mu) * radius2
-        if not rounding <= REGULARIZER_ROUNDING_TOL:
+        if not rounding <= TOL_FEAS:
             raise ValueError(
                 f"mu={mu!r} rounds F away on the box: eps*(mu/2)*max|x|^2 "
-                f"= {rounding:.3g} exceeds {REGULARIZER_ROUNDING_TOL:g}")
+                f"= {rounding:.3g} exceeds {TOL_FEAS:g}")
 
     cone = F.cone
     eye = np.eye(F.order)

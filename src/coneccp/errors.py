@@ -10,7 +10,7 @@ class InvalidElement(ConeCcpError):
 
 
 class InvalidPenalty(ConeCcpError):
-    """Penalty scale must be strictly positive."""
+    """Penalty scale must be strictly positive and finite."""
 
 
 class BoundTooSmall(ConeCcpError):

@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
+from .cones import TOL_FEAS
 from .errors import InvariantViolation
 from .feasible import FeasibleSet
 from .subproblem import LinearizedConstraint, SubproblemSpec
@@ -41,7 +42,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITER_LIMIT = "iter_limit"
 
-TOL_FEAS = 1e-8  # feasibility tolerance on constraint values
+# optimality tolerance of the penalized and certificate subproblem solves
+SUBPROBLEM_TOL = 1e-9
 MAX_CUTS = 5000  # cuts one Kelley loop may make before ITER_LIMIT
 _LB_SLACK = 1e-7  # tolerance of the monotone-lower-bound check
 _BISECT_ITERS = 200  # steps of a 1-D search, and the halvings of its width

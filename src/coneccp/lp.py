@@ -23,9 +23,9 @@ The warm state's ownership contract:
   another buffer or another objective or bound object is solved cold.
 * The rows already solved must not be rewritten; a caller that moves them
   to larger buffers says so with :meth:`LpState.rebase`.
-* A warm solve consumes its state: its tableau buffer now holds the new
-  master, so using the consumed state again, or extending it a second time
-  with other rows, is solved cold.
+* A warm solve consumes its state: it clears the state's tableau and basis
+  buffers, which now hold the new master, so using the consumed state
+  again, or extending it a second time with other rows, is solved cold.
 
 Whenever the warm answer cannot be trusted (the dual loop finds the master
 infeasible or hits its pivot limit, or the point violates a row), the cold
@@ -48,17 +48,6 @@ from ._simplex_py import (INFEASIBLE, ITER_LIMIT, OPTIMAL, PIVOT_TOL,
 ROOM = 16  # spare rows and columns of a new warm buffer, doubled when full
 
 
-class _Room:
-    """The buffers a chain of warm masters pivots in: the tableau, whose
-    live top-left corner holds the current master and is zero elsewhere, and
-    the basis.  ``gen`` stamps the one state that may extend them."""
-
-    __slots__ = ("T", "basis", "gen")
-
-    def __init__(self, T, basis):
-        self.T, self.basis, self.gen = T, basis, 0
-
-
 @dataclass
 class LpState:
     """The optimal phase-2 tableau of one master, kept for warm re-solves.
@@ -66,9 +55,10 @@ class LpState:
     The kernel columns u >= 0 give ``y[j] = offsets[j] + sum(sign[k] *
     u[k] for k with src[k] == j)``.  The tableau holds those columns, one
     slack per row and the right-hand side; phase 1's artificial columns are
-    dropped.  ``T`` and ``basis`` are views into ``room``, and the state may
-    be extended while ``gen`` is the room's stamp (see the module's
-    ownership contract).
+    dropped.  ``T`` and ``basis`` are the live corners of the buffers
+    ``T_buf`` and ``basis_buf``, which the state owns until a warm solve
+    consumes it and clears them (see the module's ownership contract); the
+    tableau buffer is zero outside ``T``.
     """
 
     c: np.ndarray
@@ -81,8 +71,8 @@ class LpState:
     src: np.ndarray
     sign: np.ndarray
     offsets: np.ndarray
-    room: _Room
-    gen: int
+    T_buf: np.ndarray | None
+    basis_buf: np.ndarray | None
 
     def rebase(self, A, b):
         """Follow the master's rows to new buffers A, b, whose first rows
@@ -149,8 +139,7 @@ def solve_lp(c, A, b, lo, hi, *, warm=None) -> LpResult:
     status, T, basis = _two_phase(Ak, bk, c[src] * sign)
     if status != OPTIMAL:
         return LpResult(status, None, np.nan)
-    st = LpState(c, A, b, lo, hi, T, basis, src, sign, offsets,
-                 _Room(T, basis), 0)
+    st = LpState(c, A, b, lo, hi, T, basis, src, sign, offsets, T, basis)
     # a warm re-solve cannot start from a basis holding an artificial
     return _result(st, warmable=bool(np.all(basis < T.shape[1] - 1)))
 
@@ -237,7 +226,7 @@ def _extends(st: LpState, c, A, b, lo, hi):
     """Whether st may be extended to (c, A, b, lo, hi): the same c, lo and hi,
     longer prefix views of the same row buffers, and st not yet consumed.
     Identity with st's arrays makes every input a float array already."""
-    return (st.gen == st.room.gen and c is st.c and lo is st.lo
+    return (st.T_buf is not None and c is st.c and lo is st.lo
             and hi is st.hi and isinstance(A, np.ndarray)
             and isinstance(b, np.ndarray)
             and A.base is st.A.base is not None
@@ -255,22 +244,20 @@ def _grown(size, need):
 def _resolve(st: LpState, A, b):
     """Re-optimize st's tableau in place with the rows of A, b past st's
     master appended, consuming st; None when the cold path must decide."""
-    room = st.room
-    room.gen += 1
+    buf, basis_buf = st.T_buf, st.basis_buf
+    st.T_buf = st.basis_buf = None
     m0 = st.A.shape[0]
     new_A, new_b = A[m0:], b[m0:]
     k = new_b.size
     m = st.T.shape[0] - 1
     w = st.T.shape[1] - 1  # columns before the right-hand side
-    rows_cap, cols_cap = room.T.shape
+    rows_cap, cols_cap = buf.shape
     if m + k + 1 > rows_cap or w + k + 1 > cols_cap:
         buf = np.zeros((_grown(rows_cap, m + k + 1),
                         _grown(cols_cap, w + k + 1)))
         buf[:m + 1, :w + 1] = st.T
-        room.basis = np.zeros(buf.shape[0], dtype=np.int64)
-        room.basis[:m] = st.basis
-        room.T = buf
-    buf = room.T
+        basis_buf = np.zeros(buf.shape[0], dtype=np.int64)
+        basis_buf[:m] = st.basis
     # Move the objective row down k rows and the right-hand side right k
     # columns; the k new rows and slack columns open up between them.
     buf[m + k, :w] = buf[m, :w]
@@ -283,7 +270,7 @@ def _resolve(st: LpState, A, b):
     rows[:, :nk] = new_A.take(st.src, axis=1) * st.sign
     rows[:, nk:] = 0.0
     rows[:, -1] = new_b - new_A @ st.offsets
-    basis = room.basis[:m + k]
+    basis = basis_buf[:m + k]
     for i in range(k):
         rows[i, w + i] = 1.0
         basis[m + i] = w + i
@@ -304,7 +291,7 @@ def _resolve(st: LpState, A, b):
     if status != OPTIMAL:
         return None
     res = _result(LpState(st.c, A, b, st.lo, st.hi, T, basis, st.src,
-                          st.sign, st.offsets, room, room.gen),
+                          st.sign, st.offsets, buf, basis_buf),
                   warmable=True)
     if (A @ res.x - b).max() > _feas_tol(b):
         return None

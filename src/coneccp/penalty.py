@@ -12,14 +12,15 @@ CCP, with the slack, its norm, the penalty scale and the merit filled in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inner
-from .ccp import (FIXED_POINT_RTOL, INNER_ITER_LIMIT, MAX_ITER, Record, Trace,
-                  check_max_iter)
-from .cones import dist_to_neg_cone, inner as cone_inner, project_pos
+from .ccp import (INNER_ITER_LIMIT, MAX_ITER, Record, Trace, check_max_iter,
+                  is_fixed_point)
+from .cones import TOL_FEAS, dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InvariantViolation
 from .feasible import point_of
 from .subproblem import build_penalized, recover_slack
@@ -28,7 +29,6 @@ FIXED_POINT = "fixed_point"
 SMALL_MERIT_CHANGE = "small_merit_change"
 
 MERIT_SLACK = 1e-8
-INNER_TOL = 1e-9  # optimality tolerance of each penalized subproblem
 
 
 @dataclass
@@ -41,12 +41,17 @@ class PenaltyConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not self.tau0 > 0:
-            raise ConeCcpError("tau0 must be positive")
-        if not self.mu > 1:
-            raise ConeCcpError("penalty growth factor must exceed 1")
-        if self.kappa < 0 or not self.tau_max > 0:
-            raise ConeCcpError("kappa must be >= 0 and tau_max positive")
+        # each test is written so that NaN fails it
+        if not 0 < self.tau0 < math.inf:
+            raise ConeCcpError(f"tau0 must be finite and > 0, got {self.tau0}")
+        if not 1 < self.mu < math.inf:
+            raise ConeCcpError(f"mu must be finite and > 1, got {self.mu}")
+        if not self.kappa >= 0:
+            raise ConeCcpError(f"kappa must be >= 0, got {self.kappa}")
+        if not self.tau_max > 0:
+            raise ConeCcpError(f"tau_max must be > 0, got {self.tau_max}")
+        if not self.eps_merit > 0:
+            raise ConeCcpError(f"eps_merit must be > 0, got {self.eps_merit}")
         check_max_iter(self.max_iter)
 
 
@@ -86,7 +91,8 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     for n in range(cfg.max_iter):
         v = problem.objective.h0.subgrad(x)
         spec = build_penalized(problem, x, v, tau)
-        rep = inner.solve_convex(spec, tol=INNER_TOL, feasible_hint=x)
+        rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL,
+                                 feasible_hint=x)
         if rep.status == inner.ITER_LIMIT:
             trace.termination = INNER_ITER_LIMIT
             break
@@ -95,15 +101,16 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
         f_new = problem.objective.f0(x_new)
         s_new_norm = s_new.norm()
 
-        merit_old = f + tau * cone_inner(identity, s)
-        merit_new_held = f_new + tau * cone_inner(identity, s_new)
+        # the last record's merit is priced at tau, the scale in force now
+        merit_old = trace.records[-1].merit
+        price = cone_inner(identity, s_new)
+        merit_new_held = f_new + tau * price
         if merit_new_held > merit_old + MERIT_SLACK * (1.0 + abs(merit_old)):
             raise InvariantViolation(
                 f"merit increased at fixed penalty: {merit_old} -> "
                 f"{merit_new_held}")
 
-        step = float(np.linalg.norm(x_new - x))
-        fixed = step <= FIXED_POINT_RTOL * (1.0 + float(np.linalg.norm(x)))
+        fixed = is_fixed_point(float(np.linalg.norm(x_new - x)), x_new)
         # The stop test precedes the penalty update.
         tau_next = tau if fixed else _penalty_update(tau, s_new_norm, cfg,
                                                      e_norm)
@@ -111,8 +118,8 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
             n + 1, x_new, f_new,
             dist_to_neg_cone(problem.constraint.value(x_new)), rep.status,
             s=s_new, s_norm=s_new_norm, tau=tau_next,
-            merit=f_new + tau_next * cone_inner(identity, s_new)))
-        x, s, f = x_new, s_new, f_new
+            merit=f_new + tau_next * price))
+        x = x_new
         if fixed:
             trace.termination = FIXED_POINT
             break
@@ -154,7 +161,7 @@ def check_merit_decrease(trace: Trace) -> bool:
     return True
 
 
-def detect_feasible_handoff(trace: Trace, tol_feas=1e-8) -> int | None:
+def detect_feasible_handoff(trace: Trace, tol_feas=TOL_FEAS) -> int | None:
     """Smallest index from which every recorded slack norm stays below tol.
 
     From that point on the run is feasible and behaves like the plain CCP

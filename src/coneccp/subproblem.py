@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ConeElement, eigenpairs, inner, lambda_max_scalarize,
-                    project_pos)
+from .cones import (ConeElement, check_penalty_scale, eigenpairs, inner,
+                    lambda_max_scalarize, project_pos)
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
-from .errors import InvalidPenalty
 from .feasible import FeasibleSet
 
 # Eigenvalues inside [-EIG_ACTIVE_TOL, EIG_ACTIVE_TOL] contribute nothing to
@@ -142,10 +141,10 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
     The slack block s enters the objective as <tau e, s> subject to s >= 0
     and s >= linearization; its optimal value is the positive part, so the
     spec minimizes  g0(x) - <v, x - x_n> + tau * <e, pos(linearization(x))>
-    over A alone.
+    over A alone.  A tau that is not positive and finite raises
+    :class:`InvalidPenalty`.
     """
-    if not tau > 0.0:
-        raise InvalidPenalty(f"penalty scale must be positive, got {tau}")
+    check_penalty_scale(tau)
     lin = linearize_constraint(problem, x_n)
     shifted = _shifted_objective(problem, x_n, v_n)
     identity = problem.constraint.cone.identity()

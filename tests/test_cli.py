@@ -100,6 +100,17 @@ class TestSolveCommands:
             assert code == 3
             assert out == "" and "max_iter" in err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tol", "-1", "eps_merit"), ("--tol", "nan", "eps_merit"),
+        ("--kappa", "nan", "kappa"), ("--tau0", "inf", "tau0"),
+        ("--mu", "inf", "mu")])
+    def test_out_of_range_penalty_option_exits_3(self, capsys, flag, value,
+                                                 field):
+        code, out, err = run_cli(capsys, "solve", "penalty-ccp", "--builtin",
+                                 "example29", "--x0=-1", flag, value)
+        assert code == 3
+        assert out == "" and err.startswith(f"error: {field} ")
+
     def test_unknown_flag_exits_usage(self, capsys):
         for argv in (["solve", "ccp", "--no-such-flag"],
                      ["solve", "ccp", "--builtin", "example29", "--x0", "2",
@@ -232,6 +243,22 @@ class TestCheckCommands:
         assert code == 2
         assert out == ""
         assert "outside the feasible set" in err
+
+    @pytest.mark.parametrize("what", [["criticality", "--x0=1"],
+                                      ["generalized", "--x0=-1", "--tau0",
+                                       "1"]])
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_no_residual_can_meet_exits_3(self, capsys, what, tol):
+        code, out, err = run_cli(capsys, "check", *what, "--builtin",
+                                 "example29", "--tol", tol)
+        assert code == 3
+        assert out == "" and "--tol" in err
+
+    def test_infinite_penalty_scale_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "check", "generalized", "--builtin",
+                                 "example29", "--x0=-1", "--tau0", "inf")
+        assert code == 3
+        assert out == "" and "penalty scale" in err
 
     def test_generalized_check(self, capsys):
         code, out, _ = run_cli(capsys, "check", "generalized", "--builtin",

@@ -240,7 +240,7 @@ class TestSlackCost:
 
     def test_nonpositive_tau_rejected(self):
         y = ORTH2.element(np.array([1.0, 0.0]))
-        for tau in (0.0, -1.0):
+        for tau in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidPenalty):
                 slack_cost(tau, y)
 

@@ -160,10 +160,6 @@ class TestQuadraticSdp:
         with pytest.raises(ValueError, match="rounds F away on the box"):
             quadratic_sdp(7, mu=1e308)
 
-    def test_rounding_tolerance_is_the_inner_feasibility_tolerance(self):
-        from coneccp import dc, inner
-        assert dc.REGULARIZER_ROUNDING_TOL == inner.TOL_FEAS
-
 
 class TestStiefel:
     def test_scalar_case_feasible_points(self):

@@ -228,6 +228,14 @@ class TestConfigValidation:
         with pytest.raises(ConeCcpError):
             PenaltyConfig(tau0=1.0, mu=2.0, kappa=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps_merit", 0.0), ("eps_merit", -1.0), ("eps_merit", np.nan),
+        ("kappa", -1.0), ("kappa", np.nan), ("tau0", np.inf),
+        ("tau0", np.nan), ("mu", np.inf), ("mu", np.nan)])
+    def test_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(ConeCcpError, match=rf"^{field}\b"):
+            PenaltyConfig(**{"tau0": 1.0, "mu": 2.0, field: value})
+
     @pytest.mark.parametrize("max_iter", [-1, 2.5, 3.0, True, "5", None])
     def test_max_iter_must_be_a_nonnegative_int(self, max_iter):
         with pytest.raises(ConeCcpError, match="max_iter"):

@@ -92,7 +92,7 @@ class TestPenalizedForm:
 
     def test_guard_on_nonpositive_penalty(self):
         p = example29()
-        for tau in (0.0, -2.0):
+        for tau in (0.0, -2.0, np.nan, np.inf):
             with pytest.raises(InvalidPenalty):
                 build_penalized(p, np.array([-1.0]), np.zeros(1), tau)
 
