@@ -24,9 +24,8 @@ from .convexity import verify_k_convexity
 from .dc import (ComponentwiseDcMatrix, ConeDcMap, ConeDerivative,
                  ConvexOracle, KConvexOracle, ScalarDcFunction,
                  SmoothKConvexOracle, SmoothMatrixMap,
-                 estimate_hessian_bound, lambda_max_dc_decomposition,
-                 lambda_max_subgradient, offdiag_dc_extraction,
-                 regularized_dc_decomposition)
+                 lambda_max_dc_decomposition, lambda_max_subgradient,
+                 offdiag_dc_extraction, regularized_dc_decomposition)
 from .errors import (BoundTooSmall, ConeCcpError, InfeasibleStart,
                      InvalidElement, InvalidPenalty, InvariantViolation,
                      OracleCheckError, SchemaError, SubproblemInfeasible)

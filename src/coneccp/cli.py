@@ -13,9 +13,9 @@ Subcommands:
 Exit codes: 0 success, 2 infeasible start (an --x0 outside the box or affine
 rows of the set, for solve and check; or one that violates the cone
 constraint, for solve ccp and check criticality), 3 schema/problem-file
-error, malformed --x0, negative --max-iter or an out-of-range --samples,
---tol, --tau0, --mu or --kappa, 4 iteration limit (outer loop or inner
-solver), 64 usage error.
+error, malformed --x0, negative --max-iter or --seed, or an out-of-range
+--samples, --tol, --tau0, --mu or --kappa, 4 iteration limit (outer loop or
+inner solver), 64 usage error.
 """
 
 from __future__ import annotations
@@ -252,6 +252,8 @@ def _known_multiplier(problem, x):
 def _cmd_decompose(args) -> int:
     if args.samples < 0:
         raise ConeCcpError(f"--samples must be nonnegative, got {args.samples}")
+    if args.seed < 0:
+        raise ConeCcpError(f"--seed must be nonnegative, got {args.seed}")
     F, fs, name = load_componentwise(_source(args))
     x0 = None if args.x0 is None else as_point(_parse_x0(args.x0), F.dim)
     split = lambda_max_dc_decomposition(F)

@@ -60,9 +60,10 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
     gap (the largest component on orthant blocks, the first block on ties);
     the first violation beyond ``CONVEXITY_TOL`` in draw order is returned
     as a concrete witness.  Passing is evidence, not proof: sampling is sound
-    but incomplete.  ``samples`` must be a positive integer, ``box`` a pair
-    (lo, hi) of finite 1-d arrays with lo <= hi, and the map's first value
-    must have the leaves of ``cone``, else :class:`ConeCcpError`.
+    but incomplete.  ``samples`` must be a positive integer, ``seed`` a
+    nonnegative integer, ``box`` a pair (lo, hi) of finite 1-d arrays with
+    lo <= hi, and the map's first value must have the leaves of ``cone``,
+    else :class:`ConeCcpError`.
 
     Samples are processed ``VERIFY_CHUNK`` at a time: one draw of the
     chunk's uniforms, one oracle call per point, then the gaps and their
@@ -76,6 +77,10 @@ def verify_k_convexity(map_oracle, cone: Cone, samples: int, box,
             or samples < 1:
         raise ConeCcpError(
             f"samples must be a positive integer, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ConeCcpError(
+            f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lo, hi = box
     lo = np.asarray(lo, dtype=float)

@@ -12,7 +12,6 @@ is then safe for concurrent use.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,17 +26,11 @@ from .cones import (TOL_FEAS, Cone, ConeElement, PsdCone,
 from .convexity import verify_k_convexity
 from .errors import BoundTooSmall, OracleCheckError
 
-log = logging.getLogger(__name__)
-
 # Sampled checks: draws per check and the tolerances a violation must exceed.
 OBJECTIVE_CHECK_SAMPLES = 40
 OBJECTIVE_CHECK_RTOL = 1e-9
 MAP_CHECK_SAMPLES = 200
 DERIVATIVE_CHECK_SAMPLES = 10
-# Hessian estimation: sample points, finite-difference step, inflation.
-HESSIAN_SAMPLES = 25
-HESSIAN_STEP = 1e-4
-HESSIAN_SAFETY = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,6 @@ class ConeDcMap:
     G: KConvexOracle
     H: SmoothKConvexOracle
     dim: int
-    notes: tuple[str, ...] = ()
 
     def value(self, x) -> ConeElement:
         return self.G.value(x) - self.H.value(x)
@@ -382,35 +374,7 @@ class SmoothMatrixMap:
         return ConeDerivative(self.cone, (arr,))
 
 
-def estimate_hessian_bound(F: SmoothMatrixMap, box, seed=0) -> float:
-    """Sampled bound on max_ij ||hessian of F_ij||_F over the box.
-
-    Finite differences at random points, inflated by a safety factor.  The
-    result is not certified; prefer a hand-derived bound when one exists.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = box
-    d = F.dim
-    step = HESSIAN_STEP
-    best = 0.0
-    for _ in range(HESSIAN_SAMPLES):
-        x = rng.uniform(lo, hi)
-        hess = np.zeros((d, d, F.order, F.order))
-        for p in range(d):
-            ep = np.zeros(d)
-            ep[p] = step
-            for q in range(p, d):
-                eq = np.zeros(d)
-                eq[q] = step
-                second = (F.matrix(x + ep + eq) - F.matrix(x + ep - eq)
-                          - F.matrix(x - ep + eq) + F.matrix(x - ep - eq))
-                hess[p, q] = hess[q, p] = second / (4.0 * step * step)
-        norms = np.sqrt(np.einsum("pqij,pqij->ij", hess, hess))
-        best = max(best, float(norms.max()))
-    return HESSIAN_SAFETY * best
-
-
-def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
+def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound,
                                  mu=None, box=None) -> ConeDcMap:
     """DC split of a smooth matrix map by quadratic regularization.
 
@@ -418,22 +382,13 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     the pair G(x) = F(x) + (mu/2)|x|^2 I and H(x) = (mu/2)|x|^2 I is a valid
     decomposition for any mu >= order * M; smaller mu (or a NaN bound)
     raises :class:`BoundTooSmall`, and a mu that is not a finite real number
-    raises ValueError.  When no bound is supplied it is estimated by
-    sampling over ``box`` and the result is flagged uncertified.
+    raises ValueError.
 
     The linearization subtracts (mu/2)|x_n|^2 I from G, so F survives in it
     only to about eps * (mu/2) * |x|^2.  Given a ``box`` (lo, hi), a mu whose
     rounding there exceeds the feasibility tolerance ``cones.TOL_FEAS``
     raises ValueError.
     """
-    notes: tuple[str, ...] = ()
-    if hessian_bound is None:
-        if box is None:
-            raise ValueError("either hessian_bound or box must be given")
-        hessian_bound = estimate_hessian_bound(F, box)
-        notes = ("hessian-bound-estimated-uncertified",)
-        log.warning("hessian bound estimated by sampling (%.6g); "
-                    "decomposition is not certified", hessian_bound)
     threshold = F.order * hessian_bound
     if mu is None:
         mu = threshold
@@ -477,4 +432,4 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound=None,
     return ConeDcMap(cone=cone,
                      G=KConvexOracle(g_value, g_qf_subgrad),
                      H=SmoothKConvexOracle(h_value, h_derivative),
-                     dim=F.dim, notes=notes)
+                     dim=F.dim)

@@ -100,10 +100,10 @@ def polynomial_nonconvexity(coeffs, lo: float, hi: float
     finite and moves the minimum of p'' by far less than the tolerance.
     """
     P = np.polynomial.polynomial  # loaded on first use, not on import
-    d2 = P.polyder(np.asarray(coeffs, dtype=float), 2)
-    d3 = P.polyder(d2)
     scale = max(abs(lo), abs(hi))
     with np.errstate(all="ignore"):
+        d2 = P.polyder(np.asarray(coeffs, dtype=float), 2)
+        d3 = P.polyder(d2)
         q = d3 * scale ** np.arange(d3.size)
         if not np.isfinite(q).all():
             return float(lo), float("nan")

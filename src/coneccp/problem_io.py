@@ -125,6 +125,11 @@ def _require(doc, key, typ, where="problem file"):
     return val
 
 
+def _name(doc, default):
+    """The file's optional ``name``, which must be a string."""
+    return _require(doc, "name", str) if "name" in doc else default
+
+
 def _load_box(doc) -> FeasibleSet:
     raw = _require(doc, "box", list)
     shape = "box must be a non-empty list of [lo, hi] pairs"
@@ -200,7 +205,7 @@ def _quadratic_constraint(doc, d):
     """The validated (C, B, A) of a quadratic_sdp constraint in d variables."""
     con = _require(doc, "constraint", dict)
     cone_desc = _require(doc, "cone", dict)
-    if "psd" not in cone_desc:
+    if set(cone_desc) != {"psd"}:
         raise SchemaError("quadratic_sdp requires a {'psd': l} cone")
     order = cone_desc["psd"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
@@ -238,7 +243,7 @@ def _load_quadratic(doc):
         quadratic_matrix_map(C, B, A),
         hessian_bound=quadratic_hessian_bound(A),
         mu=doc["constraint"].get("mu"), box=(fs.lo, fs.hi))
-    inst = ProblemInstance(name=doc.get("name", "quadratic_sdp(file)"),
+    inst = ProblemInstance(name=_name(doc, "quadratic_sdp(file)"),
                            objective=objective,
                            constraint=constraint,
                            feasible_set=fs,
@@ -267,6 +272,9 @@ def _convex_coeffs(spec, key, where, fs):
 
 def _load_polynomial(doc):
     """The validated instance and its entrywise-DC view."""
+    if "cone" in doc:
+        raise SchemaError("scalar_dc_polynomial names no cone: its rows "
+                          "live on the nonnegative orthant")
     fs = _load_box(doc)
     if fs.dim != 1:
         raise SchemaError("scalar_dc_polynomial is univariate: box needs "
@@ -284,7 +292,7 @@ def _load_polynomial(doc):
         g_coeffs.append(_convex_coeffs(row, "G", f"constraints[{k}]", fs))
         h_coeffs.append(_convex_coeffs(row, "H", f"constraints[{k}]", fs))
     inst = ProblemInstance(
-        name=doc.get("name", "scalar_dc_polynomial(file)"),
+        name=_name(doc, "scalar_dc_polynomial(file)"),
         objective=ScalarDcFunction(g0=g0, h0=h0, dim=1),
         constraint=polynomial_constraint_map(g_coeffs, h_coeffs),
         feasible_set=fs,

@@ -16,6 +16,14 @@ from coneccp.problem_io import load_componentwise, load_problem
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "examples"
 EXAMPLES = ("builtin_example29.json", "polynomial_quartic.json",
             "quadratic_sdp_small.json")
+# the smallest valid file of each non-builtin kind, feasible at x = 0
+QUADRATIC_1D = {"kind": "quadratic_sdp", "box": [[-1, 1]], "cone": {"psd": 1},
+                "objective": {"g0": {"P": [[1]]}, "h0": {"P": [[0]]}},
+                "constraint": {"C": [[-1]], "B": [[[0.5]]],
+                               "A": [[[[0.1]]]]}}
+POLYNOMIAL_1D = {"kind": "scalar_dc_polynomial", "box": [[-1, 1]],
+                 "objective": {"g0": [0, 0, 1], "h0": [0]},
+                 "constraints": [{"G": [-1, 0, 1], "H": [0]}]}
 
 
 def edited(doc, path, value):
@@ -299,6 +307,16 @@ class TestDecomposeAndVerify:
         assert out == ""
         assert f"samples must be a positive integer, got {samples}" in err
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "convexity"),
+        ("decompose", "lambda-max", "--samples", "2"),
+    ])
+    def test_a_negative_seed_exits_3(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--builtin", "example29",
+                                 "--seed", "-1", "--json")
+        assert (code, out) == (3, "")
+        assert "seed must be" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("samples, code", [("-3", 3), ("-1", 3),
                                                ("0", 0)])
     def test_decompose_rejects_a_negative_sample_count(self, capsys, samples,
@@ -354,6 +372,13 @@ class TestProblemFiles:
             ({"kind": "quadratic_sdp", "box": [[-1, 1]],
               "cone": {"psd": 2}, "objective": {}, "constraint": {
                   "C": [[0, 1], [0.5, 0]], "B": [], "A": []}}, "symmetric"),
+            # files take only the cone of their kind
+            (dict(QUADRATIC_1D, cone={"psd": 1, "orthant": 4}),
+             "requires a {'psd': l} cone"),
+            (dict(POLYNOMIAL_1D, cone={"psd": 3}), "names no cone"),
+            # a name, when given, is a string
+            (dict(QUADRATIC_1D, name=7), "key 'name' must be"),
+            (dict(POLYNOMIAL_1D, name={"a": [1, 2]}), "key 'name' must be"),
         ]
         for doc, fragment in bad:
             with pytest.raises(SchemaError) as err:
@@ -370,6 +395,9 @@ class TestProblemFiles:
         code, _, err = run_cli(capsys, "solve", "ccp", "--problem", str(path),
                                "--x0", "0")
         assert code == 3
+        code, out, _ = run_cli(capsys, "solve", "ccp", "--problem",
+                               json.dumps(bad[-1][0]), "--x0", "0")
+        assert (code, out) == (3, "")
 
     def test_problem_given_as_json_text(self, capsys):
         # far longer than a file name may be: parsed, never looked up

@@ -8,10 +8,9 @@ from coneccp.convexity import (VERIFY_CHUNK, convexity_gap,
                                verify_k_convexity)
 from coneccp.dc import (ComponentwiseDcMatrix, ConeDerivative, ConvexOracle,
                         KConvexOracle, check_derivative_consistency,
-                        estimate_hessian_bound, lambda_max_dc_decomposition,
-                        lambda_max_subgradient, offdiag_dc_extraction,
-                        quadratic_oracle, regularized_dc_decomposition,
-                        zero_oracle)
+                        lambda_max_dc_decomposition, lambda_max_subgradient,
+                        offdiag_dc_extraction, quadratic_oracle,
+                        regularized_dc_decomposition, zero_oracle)
 from coneccp.errors import (BoundTooSmall, ConeCcpError, InvalidElement,
                             OracleCheckError)
 from coneccp.library import (nonconvex_witness, quadratic_matrix_map,
@@ -101,12 +100,10 @@ class TestRegularizedDecomposition:
         assert cmap.H.value(np.array([1.7])).norm() == 0.0
         assert verify_k_convexity(cmap.G, cmap.cone, 100, BOX1, seed=3).passed
 
-    def test_sampled_bound_is_flagged(self):
-        F = nonconvex_witness()
-        est = estimate_hessian_bound(F, BOX1, seed=0)
-        assert est == pytest.approx(3.0, rel=1e-6)  # 1.5 safety on true 2
-        cmap = regularized_dc_decomposition(F, box=BOX1)
-        assert "hessian-bound-estimated-uncertified" in cmap.notes
+    def test_bound_is_required(self):
+        # a split is only as valid as its Hessian bound, so none is guessed
+        with pytest.raises(TypeError):
+            regularized_dc_decomposition(nonconvex_witness(), box=BOX1)
 
 
 class TestLambdaMaxDecomposition:
@@ -631,6 +628,12 @@ class TestChunkedConvexityCheck:
         with pytest.raises(ConeCcpError, match="samples must be a positive"):
             verify_k_convexity(nonconvex_witness(), PsdCone(2), samples,
                                BOX1)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "0", None])
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(self, seed):
+        with pytest.raises(ConeCcpError, match="seed must be a nonnegative"):
+            verify_k_convexity(nonconvex_witness(), PsdCone(2), 10, BOX1,
+                               seed=seed)
 
     @pytest.mark.parametrize("box", [
         (np.array([2.0]), np.array([-2.0])),

@@ -305,6 +305,18 @@ class TestPolynomialCertificate:
         t, value = polynomial_nonconvexity(cube, -1e-3, 5.0)
         assert t == -1e-3 and value == pytest.approx(-6e-3)
 
+    def test_overflowing_derivatives_are_not_certified(self):
+        # the coefficients of p'', 2e308 and 6e308, overflow: the defect is
+        # reported, with no overflow warning (the suite makes one an error)
+        t, value = polynomial_nonconvexity([0, 0, 1e308, 1e308], -1.0, 1.0)
+        assert t == -1.0 and np.isnan(value)
+        doc = {"kind": "scalar_dc_polynomial", "box": [[-1, 1]],
+               "objective": {"g0": [0, 0, 1], "h0": [0]},
+               "constraints": [{"G": [1e308, 0, 1e308], "H": [0]}]}
+        with pytest.raises(SchemaError, match=r"constraints\[0\]\.G is not "
+                                              r"convex on the box"):
+            load_problem(doc)
+
     def test_flat_and_multiple_root_curvature_accepted(self):
         # affine parts have no curvature; x^4 and x^6 have p'' = 0 at 0,
         # where the p''' of x^6 has a triple root; a subnormal leading
