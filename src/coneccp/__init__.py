@@ -18,8 +18,8 @@ from .certificates import (CriticalityCertificate, KktResiduals, certify,
 # the cones inner product is not re-exported here: `inner` is the name of
 # the inner-solver submodule (use coneccp.cones.inner)
 from .cones import (Cone, ConeElement, Orthant, ProductCone, PsdCone,
-                    cone_from_descriptor, dist_to_neg_cone,
-                    lambda_max_scalarize, project_pos, slack_cost)
+                    dist_to_neg_cone, lambda_max_scalarize, project_pos,
+                    slack_cost)
 from .convexity import verify_k_convexity
 from .dc import (ComponentwiseDcMatrix, ConeDcMap, ConeDerivative,
                  ConvexOracle, KConvexOracle, ScalarDcFunction,

@@ -23,7 +23,7 @@ from . import inner
 from .cones import (TOL_FEAS_POINT, ConeElement, dist_to_neg_cone,
                     eigenpairs, inner as cone_inner, project_pos)
 from .errors import InfeasibleStart, SubproblemInfeasible
-from .feasible import as_point, point_of
+from .feasible import CONTAINS_TOL, as_point, point_of
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
 @dataclass
@@ -120,8 +120,8 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     fs = problem.feasible_set
     res = np.empty(x.size)
     for k in range(x.size):
-        at_hi = x[k] >= fs.hi[k] - 1e-9 * (1.0 + abs(fs.hi[k]))
-        at_lo = x[k] <= fs.lo[k] + 1e-9 * (1.0 + abs(fs.lo[k]))
+        at_hi = x[k] >= fs.hi[k] - CONTAINS_TOL * (1.0 + abs(fs.hi[k]))
+        at_lo = x[k] <= fs.lo[k] + CONTAINS_TOL * (1.0 + abs(fs.lo[k]))
         if at_hi and at_lo:
             res[k] = 0.0
         elif at_hi:

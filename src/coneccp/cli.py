@@ -60,8 +60,9 @@ def _add_problem_args(p):
 def _add_common_solver_args(p):
     p.add_argument("--x0", metavar="CSV", required=True,
                    help="starting point, comma separated")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="stopping tolerance (objective/merit change)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="stopping tolerance (objective/merit change); "
+                        "default: the solver config's eps_f or eps_merit")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--trace", metavar="PATH",
                    help="write one JSON record per iteration (JSONL)")
@@ -92,11 +93,12 @@ def build_parser() -> _Parser:
                        help="initial penalty scale along the cone identity")
     p_pen.add_argument("--mu", type=float, default=2.0,
                        help="penalty growth factor (> 1)")
-    p_pen.add_argument("--kappa", type=float, default=1e-6,
+    p_pen.add_argument("--kappa", type=float, default=None,
                        help="slack-norm threshold below which the penalty "
-                            "stops growing")
-    p_pen.add_argument("--tau-max", type=float, default=float("inf"),
-                       help="cap on the penalty norm")
+                            "stops growing; default: the solver config's")
+    p_pen.add_argument("--tau-max", type=float, default=None,
+                       help="cap on the penalty norm; default: the solver "
+                            "config's")
 
     check = sub.add_parser("check", help="certificates at a point")
     check_sub = check.add_subparsers(dest="what", required=True,
@@ -173,18 +175,22 @@ def _write_trace(path, records):
             fh.write(json.dumps(rec) + "\n")
 
 
+def _given(**options):
+    """The options given on the command line; each one left out takes its
+    config's own default."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _cmd_solve(args) -> int:
     problem = _load(args)
     x0 = _parse_x0(args.x0)
-    # the configs' own default applies only when --max-iter is absent
-    iters = {} if args.max_iter is None else {"max_iter": args.max_iter}
     if args.algorithm == "ccp":
-        trace = ccp.run_ccp(problem, x0,
-                            ccp.CcpConfig(eps_f=args.tol, **iters))
+        trace = ccp.run_ccp(problem, x0, ccp.CcpConfig(**_given(
+            eps_f=args.tol, max_iter=args.max_iter)))
     else:
-        cfg = penalty.PenaltyConfig(tau0=args.tau0, mu=args.mu,
-                                    kappa=args.kappa, tau_max=args.tau_max,
-                                    eps_merit=args.tol, **iters)
+        cfg = penalty.PenaltyConfig(tau0=args.tau0, mu=args.mu, **_given(
+            kappa=args.kappa, tau_max=args.tau_max, eps_merit=args.tol,
+            max_iter=args.max_iter))
         trace = penalty.run_penalty_ccp(problem, x0, cfg)
     last = trace.records[-1]
     report = {

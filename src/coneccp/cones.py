@@ -24,13 +24,9 @@ SYM_RTOL = 1e-8
 
 
 class Cone:
-    """Base class for self-dual cone descriptors."""
+    """Base class for self-dual cones."""
 
     def leaves(self) -> tuple["Cone", ...]:
-        raise NotImplementedError
-
-    @property
-    def ambient_dim(self) -> int:
         raise NotImplementedError
 
     def element(self, blocks) -> "ConeElement":
@@ -53,16 +49,9 @@ class Cone:
         blocks = _as_blocks(self, blocks)
         return ConeElement(self, blocks)
 
-    def zero(self) -> "ConeElement":
-        return ConeElement(self, tuple(_zero_block(c) for c in self.leaves()))
-
     def identity(self) -> "ConeElement":
         """The interior direction e: identity matrix / all-ones vector per block."""
         return ConeElement(self, tuple(_identity_block(c) for c in self.leaves()))
-
-    def descriptor(self) -> dict:
-        """JSON-friendly description, e.g. {"psd": 2} or {"orthant": 3}."""
-        raise NotImplementedError
 
 
 def _check_size(size, what):
@@ -81,13 +70,6 @@ class PsdCone(Cone):
     def leaves(self):
         return (self,)
 
-    @property
-    def ambient_dim(self):
-        return self.order * (self.order + 1) // 2
-
-    def descriptor(self):
-        return {"psd": self.order}
-
 
 @dataclass(frozen=True)
 class Orthant(Cone):
@@ -98,13 +80,6 @@ class Orthant(Cone):
 
     def leaves(self):
         return (self,)
-
-    @property
-    def ambient_dim(self):
-        return self.dim
-
-    def descriptor(self):
-        return {"orthant": self.dim}
 
 
 @dataclass(frozen=True)
@@ -120,33 +95,6 @@ class ProductCone(Cone):
 
     def leaves(self):
         return self._leaves
-
-    @property
-    def ambient_dim(self):
-        return sum(p.ambient_dim for p in self.parts)
-
-    def descriptor(self):
-        return {"product": [p.descriptor() for p in self.parts]}
-
-
-def cone_from_descriptor(desc: dict) -> Cone:
-    """Inverse of :meth:`Cone.descriptor`."""
-    if not isinstance(desc, dict) or len(desc) != 1:
-        raise InvalidElement(f"bad cone descriptor: {desc!r}")
-    (kind, arg), = desc.items()
-    if kind == "psd":
-        return PsdCone(arg)
-    if kind == "orthant":
-        return Orthant(arg)
-    if kind == "product":
-        return ProductCone(tuple(cone_from_descriptor(d) for d in arg))
-    raise InvalidElement(f"unknown cone kind: {kind!r}")
-
-
-def _zero_block(leaf: Cone) -> np.ndarray:
-    if isinstance(leaf, PsdCone):
-        return _freeze(np.zeros((leaf.order, leaf.order)))
-    return _freeze(np.zeros(leaf.dim))
 
 
 def _identity_block(leaf: Cone) -> np.ndarray:

@@ -148,8 +148,8 @@ def _neg_gaps(map_oracle, x1, x2, alphas, cone=None):
             if vals is None:
                 if cone is not None and value.cone.leaves() != cone.leaves():
                     raise ConeCcpError(
-                        f"map values lie in {value.cone.descriptor()}, not "
-                        f"in the cone {cone.descriptor()}")
+                        f"map values lie in {value.cone!r}, not in the "
+                        f"cone {cone!r}")
                 vals = [np.empty(points.shape[:2] + b.shape) for b in blocks]
                 if alphas is None:
                     dvs = [np.empty((len(points),) + b.shape) for b in blocks]

@@ -37,12 +37,20 @@ class FeasibleSet:
             raise ConeCcpError("box has lo > hi in some coordinate")
         A = self.affine_A
         b = self.affine_b
+        if (A is None) != (b is None):
+            raise ConeCcpError("affine rows need both affine_A and affine_b")
         if A is None:
             A = np.zeros((0, lo.size))
             b = np.zeros(0)
         else:
-            A = np.asarray(A, dtype=float).reshape(-1, lo.size)
-            b = np.asarray(b, dtype=float).reshape(-1)
+            A = np.asarray(A, dtype=float)
+            b = np.asarray(b, dtype=float)
+            if A.ndim != 2 or A.shape[1] != lo.size or b.shape != A.shape[:1]:
+                raise ConeCcpError(
+                    f"affine rows need affine_A of shape (k, {lo.size}) and "
+                    f"affine_b of shape (k,), got {A.shape} and {b.shape}")
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
+                raise ConeCcpError("affine rows must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "affine_A", A)

@@ -262,7 +262,7 @@ def _solve_general(spec, tol, feasible_hint=None):
     # feasible point; sharpen a positive lower bound on the constraint
     # minimum over the set, starting from the last constraint points.
     cert = _kelley_min(con.scalarized, con.scalarized_subgrad, fs,
-                       min(tol, 1e-8), seeds=run.points[-4:])
+                       min(tol, TOL_FEAS), seeds=run.points[-4:])
     cuts = run.cuts + cert.cuts
     if cert.value <= TOL_FEAS:
         # The constraint minimum is attainable after all; report the point

@@ -10,7 +10,9 @@ import pytest
 from coneccp import cli, dc, inner, problem_io
 from coneccp.cli import main
 from coneccp.errors import OracleCheckError, SchemaError
-from coneccp.library import ProblemInstance, builtin, quadratic_sdp
+from coneccp.library import (ProblemInstance, builtin, example29,
+                             quadratic_sdp)
+from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.problem_io import load_componentwise, load_problem
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -57,6 +59,26 @@ class TestSolveCommands:
         assert records[1]["x"][0] == pytest.approx(-0.75, abs=1e-4)
         keys = {"n", "x", "f0", "infeas", "s_norm", "tau", "merit", "status"}
         assert all(set(r) == keys for r in records)
+
+    def test_options_left_out_take_the_config_defaults(self, capsys):
+        # README's CLI and library examples of the same penalty run
+        code, out, _ = run_cli(
+            capsys, "solve", "penalty-ccp", "--builtin", "example29",
+            "--x0=-1", "--tau0", "1", "--mu", "2", "--kappa", "1e-6",
+            "--tau-max", "1024", "--json")
+        trace = run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
+            tau0=1.0, mu=2.0, kappa=1e-6, tau_max=1024.0))
+        report = json.loads(out)
+        assert code == 0
+        assert (report["termination"], report["iterations"], report["x"]) \
+            == (trace.termination, trace.iterations, list(trace.final_x))
+        # the same run with every defaulted option left out
+        code, out, _ = run_cli(
+            capsys, "solve", "penalty-ccp", "--builtin", "example29",
+            "--x0=-1", "--tau0", "1", "--mu", "2", "--json")
+        trace = run_penalty_ccp(example29(), [-1.0],
+                                PenaltyConfig(tau0=1.0, mu=2.0))
+        assert json.loads(out)["x"] == list(trace.final_x)
 
     def test_trace_reruns_bitwise_identical(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

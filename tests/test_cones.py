@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coneccp.cones import (SYM_RTOL, Orthant, ProductCone, PsdCone,
-                           cone_from_descriptor, dist_to_neg_cone,
-                           eigenpairs, inner, lambda_max_scalarize,
-                           project_pos, slack_cost)
+                           dist_to_neg_cone, eigenpairs, inner,
+                           lambda_max_scalarize, project_pos, slack_cost)
 from coneccp.errors import InvalidElement, InvalidPenalty
 
 from oracles import as_blocks_reference
@@ -40,7 +39,7 @@ class TestProjection:
         assert np.allclose(project_pos(y).blocks[0], expect, atol=1e-14)
 
     def test_zero_fixed_point(self):
-        y = PSD2.zero()
+        y = PSD2.element(np.zeros((2, 2)))
         assert np.array_equal(project_pos(y).blocks[0], np.zeros((2, 2)))
 
     def test_nonfinite_rejected(self):
@@ -270,26 +269,12 @@ class TestScalarize:
 
 
 class TestConeTypes:
-    def test_ambient_dims(self):
-        assert PsdCone(3).ambient_dim == 6
-        assert Orthant(4).ambient_dim == 4
-        assert ProductCone((PsdCone(3), Orthant(4))).ambient_dim == 10
-
-    def test_descriptor_roundtrip(self):
-        for cone in (PsdCone(2), Orthant(3),
-                     ProductCone((PsdCone(2), Orthant(1)))):
-            assert cone_from_descriptor(cone.descriptor()) == cone
-
     @pytest.mark.parametrize("size", [0, -1, 2.5, 1.9, 2.0, True, False,
                                       "2", [2], None])
     def test_sizes_must_be_positive_ints(self, size):
-        for make, kind in ((PsdCone, "psd"), (Orthant, "orthant")):
+        for make in (PsdCone, Orthant):
             with pytest.raises(InvalidElement, match="positive integer"):
                 make(size)
-            with pytest.raises(InvalidElement, match="positive integer"):
-                cone_from_descriptor({kind: size})
-            with pytest.raises(InvalidElement, match="positive integer"):
-                cone_from_descriptor({"product": [{kind: size}]})
 
     def test_identity_strictly_interior(self):
         for cone in (PSD2, ORTH2, ProductCone((PSD2, ORTH2))):

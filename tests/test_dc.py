@@ -649,7 +649,8 @@ class TestChunkedConvexityCheck:
         # components the call would witness a PSD violation
         box = (np.array([-2.0]), np.array([2.0]))
         with pytest.raises(ConeCcpError, match=r"map values lie in "
-                           r"\{'psd': 2\}, not in the cone \{'orthant': 5\}"):
+                           r"PsdCone\(order=2\), not in the cone "
+                           r"Orthant\(dim=5\)"):
             verify_k_convexity(nonconvex_witness(), Orthant(5), 10, box)
         # a product of the same leaves is the same cone
         got = verify_k_convexity(nonconvex_witness(),

@@ -118,6 +118,19 @@ class TestGeneralPath:
                         affine_A=np.array([[1.0], [-1.0]]),
                         affine_b=np.array([-2.0, 1.0]))
 
+    @pytest.mark.parametrize("rows, match", [
+        # three rows of two read as two rows of three
+        (dict(affine_A=np.ones((3, 2)), affine_b=np.ones(2)), "shape"),
+        (dict(affine_A=[[1.0, np.nan, 0.0]], affine_b=[1.0]), "finite"),
+        (dict(affine_A=[[1.0, 0.0, 0.0]], affine_b=[np.nan]), "finite"),
+        (dict(affine_A=[[1.0, 0.0, 0.0]], affine_b=[-np.inf]), "finite"),
+        (dict(affine_A=[[1.0, 0.0, 0.0]]), "both"),
+    ], ids=["wrong-shape", "nan-in-A", "nan-in-b", "minus-inf-b",
+            "A-without-b"])
+    def test_malformed_affine_rows_rejected(self, rows, match):
+        with pytest.raises(ConeCcpError, match=match):
+            FeasibleSet(np.zeros(3), np.ones(3), **rows)
+
 
 @st.composite
 def boxes_with_rows(draw):
