@@ -90,6 +90,10 @@ class ProductCone(Cone):
         if not self.parts:
             raise InvalidElement("product cone needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
+        for p in self.parts:
+            if not isinstance(p, Cone):
+                raise InvalidElement(
+                    f"product cone parts must be cones, got {p!r}")
         object.__setattr__(self, "_leaves", tuple(
             leaf for p in self.parts for leaf in p.leaves()))
 

@@ -27,8 +27,8 @@ class FeasibleSet:
     affine_b: np.ndarray = field(default=None)  # shape (k,)
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.atleast_1d(_floats(self.lo, "box bounds"))
+        hi = np.atleast_1d(_floats(self.hi, "box bounds"))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConeCcpError("box bounds must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -43,8 +43,8 @@ class FeasibleSet:
             A = np.zeros((0, lo.size))
             b = np.zeros(0)
         else:
-            A = np.asarray(A, dtype=float)
-            b = np.asarray(b, dtype=float)
+            A = _floats(A, "affine rows")
+            b = _floats(b, "affine rows")
             if A.ndim != 2 or A.shape[1] != lo.size or b.shape != A.shape[:1]:
                 raise ConeCcpError(
                     f"affine rows need affine_A of shape (k, {lo.size}) and "
@@ -90,9 +90,18 @@ class FeasibleSet:
         return c
 
 
+def _floats(v, what) -> np.ndarray:
+    """v as a float array; :class:`ConeCcpError` when it is not a numeric
+    array, such as ragged rows or strings."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConeCcpError(f"{what} must be numeric arrays: {exc}") from None
+
+
 def box(lo, hi) -> FeasibleSet:
     """Convenience constructor for a pure box."""
-    return FeasibleSet(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return FeasibleSet(lo, hi)
 
 
 def as_point(x, dim: int) -> np.ndarray:

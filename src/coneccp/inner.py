@@ -11,14 +11,15 @@ turns infeasible, the positive lower bound that certifies it.  Master LPs are
 solved by the dense simplex in :mod:`coneccp.lp`, each one warm started from
 the previous master of the same run.
 
-One-dimensional subproblems take a shortcut: a safeguarded false-position
-search brackets the sign change of the subgradient, and the boundary of the
-constraint's sublevel set, down to adjacent floats.  A constrained search
-starts from a feasible point, the caller's iterate when it is one, where
-the objective's subgradient tells on which side the minimizer lies, and
-searches only the boundary on that side.  It must agree with the
-general path within tolerance and is what the analytic regression tests
-exercise.
+One-dimensional subproblems take a shortcut: a safeguarded search on the
+end tangents brackets the minimizer until the certified gap closes, at the
+latest at adjacent floats, and a safeguarded false-position search brackets
+the boundary of the constraint's sublevel set down to adjacent floats.  A
+constrained search starts from a feasible point, the caller's iterate when
+it is one, where the objective's subgradient tells on which side the
+minimizer lies, and searches only the boundary on that side.  It must agree
+with the general path within tolerance and is what the analytic regression
+tests exercise.
 
 A solver instance's mutable state is local to one call; distinct solves may
 run concurrently.
@@ -80,8 +81,8 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8,
     an empty feasible region is certified by a positive lower bound on the
     constraint minimum over the set.  A Kelley loop that makes ``MAX_CUTS``
     cuts ends at ``ITER_LIMIT``.  One-dimensional subproblems are bracketed
-    down to adjacent floats whatever ``tol`` is, and never end at
-    ``ITER_LIMIT``.
+    until the certified gap closes, at the latest at adjacent floats,
+    whatever ``tol`` is, and never end at ``ITER_LIMIT``.
 
     One-dimensional lower bounds (``gap_bound`` and the infeasibility
     ``certificate``) hold for the oracles as computed, with 4 ulps left for
@@ -290,35 +291,30 @@ def _bounds_1d(fs: FeasibleSet):
     return lo, hi, lo > hi
 
 
-def _bracket(fn, a, fa, b, fb, stop_at_zero):
-    """Shrink a bracket [a, b] or [b, a] of a sign change of fn, fa <= 0 < fb.
+def _bracket(fn, a, fa, b, fb):
+    """Shrink a bracket [a, b] or [b, a] of the boundary of {fn <= 0}, for a
+    convex fn with fa <= 0 < fb, from its inside end a.
 
     Steps are Illinois false position (Dowell & Jarratt, BIT 11, 1971): the
     secant root of the end values, where an end kept twice running has its
-    value halved.  A step is a midpoint instead whenever the steps so far
+    value halved.  Every secant root lands inside, so the outside end would
+    move by midpoints alone; each secant step but the first after a fresh
+    start is therefore truncated as in the ITP method (Oliveira & Takahashi,
+    ACM TOMS 47, 2020): it moves from the secant root toward the midpoint by
+    ITP's kappa1 |b - a|**2, with kappa1 ``_TRUNCATION`` over the first
+    width so that the constant is unitless, or to the midpoint if that is
+    nearer.  Near the boundary that lands it outside, so the bracket shrinks
+    from both ends.  A step is a midpoint instead whenever the steps so far
     have not halved the bracket twice per three steps, so after n steps it
     is at most 2**-(2n // 3) of its first width; after a midpoint the
     secant starts afresh from the end values.  An estimate that rounds
     onto an end steps one float into the bracket, or as far as the bracket
     width bisection has at its cap if that is farther.
 
-    A boundary search (not ``stop_at_zero``) is of a convex fn from its
-    inside end a, where every secant root lands inside, so the outside end
-    would move by midpoints alone.  There each secant step but the first
-    after a fresh start is truncated as in the ITP method (Oliveira &
-    Takahashi, ACM TOMS 47, 2020): it moves from the secant root toward the
-    midpoint by ITP's kappa1 |b - a|**2, with kappa1 ``_TRUNCATION`` over
-    the first width so that the constant is unitless, or to the midpoint if
-    that is nearer.  Near the boundary that lands it outside, so the bracket
-    shrinks from both ends.  A subgradient search keeps the plain steps: its
-    subgradients jump at kinks, where no step rule gains.
-
     Stops where bisection stops: at adjacent floats, at the width of
-    ``_BISECT_ITERS`` halvings, after ``_BISECT_ITERS`` steps, or, when
-    ``stop_at_zero``, at an exact zero of fn, returned as both ends.  So a
+    ``_BISECT_ITERS`` halvings or after ``_BISECT_ITERS`` steps.  So a
     boundary at 0.0 below which fn underflows to zero is found at 0.0, as
-    bisection finds it, not at a denormal.  Returns the final
-    (a, fa, b, fb), with fa <= 0 < fb as on entry.
+    bisection finds it, not at a denormal.  Returns the final inside end a.
     """
     width = abs(b - a)
     res = width * 2.0 ** -_BISECT_ITERS
@@ -333,7 +329,7 @@ def _bracket(fn, a, fa, b, fb, stop_at_zero):
             x = m
         else:
             x = a + (b - a) * (wa / (wa - wb))
-            if kept and not stop_at_zero:
+            if kept:
                 delta = _TRUNCATION * abs(b - a) * (abs(b - a) / width)
                 x = x + math.copysign(delta, m - x) if delta < abs(m - x) else m
             toward_b, toward_a = math.nextafter(a, b), math.nextafter(b, a)
@@ -342,8 +338,6 @@ def _bracket(fn, a, fa, b, fb, stop_at_zero):
             else:
                 x = max(min(x, toward_b, a - res), toward_a, b + res)
         fx = fn(x)
-        if fx == 0.0 and stop_at_zero:
-            return x, fx, x, fx
         if fx <= 0.0:
             if kept == 1:
                 wb *= 0.5
@@ -354,43 +348,72 @@ def _bracket(fn, a, fa, b, fb, stop_at_zero):
             b, fb, wb, kept = x, fx, fx, -1
         if x == m:  # the secant starts afresh after a midpoint
             wa, wb, kept = fa, fb, 0
-    return a, fa, b, fb
+    return a
 
 
 def _bisect_min(f, df, lo, hi):
-    """Minimize a convex scalar function on [lo, hi] by bracketing the sign
-    change of its subgradient down to adjacent floats.
+    """Minimize a convex scalar function on [lo, hi] until the certified gap
+    closes, at the latest at adjacent floats.
 
-    Returns (x, f(x), lower bound).  The bound is certified for f as the
-    oracle computes it: it leaves 4 ulps of max(|f| at the returned ends, 1)
-    for the computed f to dip lower at nearby floats.  Rounding inside the
-    oracle beyond that is outside the certificate.
+    The search keeps a bracket a < b of the minimizer, with f' < 0 at a and
+    f' > 0 at b, and f and f' at both ends.  At a float xc near where the
+    two end tangents meet, the smaller tangent value bounds f from below on
+    [lo, hi], however xc was rounded; the larger would overstate the bound
+    by the slope times that rounding, many ulps of f at a steep kink.  Steps
+    go, in alternation, to xc, a one-dimensional Kelley step (Kelley, J.
+    SIAM 8, 1960) that lands on a kink, and to the secant root of f'.  A
+    step is a midpoint instead whenever the steps so far have not halved
+    the bracket twice per three steps.  An estimate that rounds onto
+    an end steps one float into the bracket, or as far as the bracket width
+    bisection has at its cap if that is farther.  The search stops once the
+    tangents' bound reaches the best value found, at an exact zero of f',
+    at adjacent floats, at the width of ``_BISECT_ITERS`` halvings or after
+    ``_BISECT_ITERS`` steps.
+
+    Returns (x, f(x), lower bound), x the best point found.  The bound is
+    certified for f as the oracle computes it: it leaves 4 ulps of max(|f|
+    at the ends and at x, 1) for the computed f to dip lower at nearby
+    floats.  Rounding inside the oracle beyond that is outside the
+    certificate.
     """
-    glo = df(lo)
-    if glo >= 0.0:
-        flo = f(lo)
-        return lo, flo, flo - _rounding_margin(flo)
-    ghi = df(hi)
-    if ghi <= 0.0:
-        fhi = f(hi)
-        return hi, fhi, fhi - _rounding_margin(fhi)
-    a, ga, b, gb = _bracket(df, lo, glo, hi, ghi, stop_at_zero=True)
-    if ga == 0.0:
-        fm = f(a)
-        return a, fm, fm - _rounding_margin(fm)
-    fa, fb = f(a), f(b)
-    x = a if fa <= fb else b
-    fx = min(fa, fb)
-    # Lower bound from the two bracketing tangents.
-    denom = gb - ga
-    if denom > 0:
-        xc = (fa - fb + gb * b - ga * a) / denom
-        xc = min(max(xc, a), b)
-        lbv = max(fa + ga * (xc - a), fb + gb * (xc - b))
-        lbv = min(lbv, fx)
-    else:
-        lbv = fx
-    return x, fx, lbv - _rounding_margin(fa, fb)
+    ga, fa = df(lo), f(lo)
+    if ga >= 0.0:
+        return lo, fa, fa - _rounding_margin(fa)
+    gb, fb = df(hi), f(hi)
+    if gb <= 0.0:
+        return hi, fb, fb - _rounding_margin(fb)
+    a, b = lo, hi
+    x, fx = (a, fa) if fa <= fb else (b, fb)
+    width = b - a
+    res = width * 2.0 ** -_BISECT_ITERS
+    kelley = True  # the next estimate is the tangents' meeting point
+    for n in range(_BISECT_ITERS + 1):
+        # the smaller tangent value at any point bounds f on [a, b], and f is
+        # at least fa left of a and fb right of b
+        xc = min(max(a + (fa - fb + gb * (b - a)) / (gb - ga), a), b)
+        lbv = min(fa + ga * (xc - a), fb + gb * (xc - b))
+        m = 0.5 * (a + b)
+        if (lbv >= fx or m == a or m == b or b - a <= res
+                or n == _BISECT_ITERS):
+            break
+        if b - a > math.ldexp(width, -(2 * n // 3)):
+            t = m
+        else:
+            t = xc if kelley else a + (b - a) * (ga / (ga - gb))
+            kelley = not kelley
+            t = min(max(t, math.nextafter(a, b), a + res),
+                    math.nextafter(b, a), b - res)
+        gt, ft = df(t), f(t)
+        if ft < fx:
+            x, fx = t, ft
+        if gt == 0.0:
+            lbv = ft
+            break
+        if gt < 0.0:
+            a, fa, ga = t, ft, gt
+        else:
+            b, fb, gb = t, ft, gt
+    return x, fx, min(lbv, fx) - _rounding_margin(fa, fb, fx)
 
 
 def _rounding_margin(*values):
@@ -405,7 +428,8 @@ def _scalar(value, subgrad):
 
 
 def _solve_1d(spec: SubproblemSpec, feasible_hint=None) -> SolveReport:
-    """A one-dimensional subproblem by bracketing, down to adjacent floats.
+    """A one-dimensional subproblem by bracketing, until the certified gap
+    closes, at the latest at adjacent floats.
 
     In constrained mode the search starts from a point c of
     {constraint <= 0}: the hint when it lies in [lo, hi] and meets the
@@ -452,5 +476,4 @@ def _bisect_root(phi, outside, inside, phi_in):
     phi_out = phi(outside)
     if phi_out <= 0.0:
         return outside
-    return _bracket(phi, inside, phi_in, outside, phi_out,
-                    stop_at_zero=False)[0]
+    return _bracket(phi, inside, phi_in, outside, phi_out)

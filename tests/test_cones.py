@@ -276,6 +276,11 @@ class TestConeTypes:
             with pytest.raises(InvalidElement, match="positive integer"):
                 make(size)
 
+    @pytest.mark.parametrize("part", [3, None, "psd", PsdCone])
+    def test_product_parts_must_be_cones(self, part):
+        with pytest.raises(InvalidElement, match="must be cones"):
+            ProductCone((PsdCone(2), part))
+
     def test_identity_strictly_interior(self):
         for cone in (PSD2, ORTH2, ProductCone((PSD2, ORTH2))):
             e = cone.identity()
