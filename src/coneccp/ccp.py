@@ -168,8 +168,6 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
         if mu > 0.0 and step < SMALL_STEP_TOL:
             trace.termination = SMALL_STEP
             break
-    else:
-        trace.termination = MAX_ITER
     return trace
 
 

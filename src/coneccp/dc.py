@@ -174,7 +174,6 @@ class ConeDcMap:
     cone: Cone
     G: KConvexOracle
     H: SmoothKConvexOracle
-    dim: int
 
     def value(self, x) -> ConeElement:
         return self.G.value(x) - self.H.value(x)
@@ -380,15 +379,20 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound,
 
     With M bounding the Frobenius norm of every componentwise Hessian of F,
     the pair G(x) = F(x) + (mu/2)|x|^2 I and H(x) = (mu/2)|x|^2 I is a valid
-    decomposition for any mu >= order * M; smaller mu (or a NaN bound)
-    raises :class:`BoundTooSmall`, and a mu that is not a finite real number
-    raises ValueError.
+    decomposition for any mu >= order * M; smaller mu raises
+    :class:`BoundTooSmall`.  A bound that is not a finite nonnegative real
+    number, or a mu that is not a finite real number, raises ValueError.
 
     The linearization subtracts (mu/2)|x_n|^2 I from G, so F survives in it
     only to about eps * (mu/2) * |x|^2.  Given a ``box`` (lo, hi), a mu whose
     rounding there exceeds the feasibility tolerance ``cones.TOL_FEAS``
     raises ValueError.
     """
+    if isinstance(hessian_bound, bool) \
+            or not isinstance(hessian_bound, numbers.Real) \
+            or not 0.0 <= hessian_bound < math.inf:
+        raise ValueError(f"hessian_bound must be a finite nonnegative real "
+                         f"number, got {hessian_bound!r}")
     threshold = F.order * hessian_bound
     if mu is None:
         mu = threshold
@@ -431,5 +435,4 @@ def regularized_dc_decomposition(F: SmoothMatrixMap, hessian_bound,
 
     return ConeDcMap(cone=cone,
                      G=KConvexOracle(g_value, g_qf_subgrad),
-                     H=SmoothKConvexOracle(h_value, h_derivative),
-                     dim=F.dim)
+                     H=SmoothKConvexOracle(h_value, h_derivative))

@@ -154,7 +154,7 @@ def polynomial_constraint_map(g_coeffs: list, h_coeffs: list) -> ConeDcMap:
         return ConeDerivative(cone, (arr,))
 
     return ConeDcMap(cone=cone, G=KConvexOracle(g_value, g_qf_subgrad),
-                     H=SmoothKConvexOracle(h_value, h_derivative), dim=1)
+                     H=SmoothKConvexOracle(h_value, h_derivative))
 
 
 # Example 29's constraint row x^2 - x^4 <= 0, as ascending coefficients of
@@ -237,23 +237,30 @@ STIEFEL_BOX_HALFWIDTH = 2.0  # stiefel instances live on the box [-2, 2]^d
 
 
 def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
-                  objective=None, mu=None,
-                  validate=True) -> ProblemInstance:
+                  objective=None, validate=True) -> ProblemInstance:
     """Quadratic matrix-inequality instance, random (seeded) or explicit.
 
     The constraint map is split by quadratic regularization with the
     certified curvature bound; the generator shifts C so that a sampled
     interior point is strictly feasible, giving the feasible-start method a
-    valid launch point (recorded in known_facts).
+    valid launch point (recorded in known_facts).  Explicit ``C``, ``B`` and
+    ``A`` come all three or none, and never with a ``seed``
+    (:class:`InvalidElement` otherwise).
 
-    Nothing here samples the split: with explicit ``C``, ``B`` and ``A``
-    checked to be finite symmetric blocks of agreeing shapes
-    (:class:`InvalidElement` otherwise), it is K-convex by theorem once ``mu`` passes the bound
-    check, and the generated (or default) objective is a
-    positive semidefinite quadratic by construction.  A caller's
-    ``objective`` is opaque, so ``validate`` gates only the sampled
+    Nothing here samples the split: with explicit blocks checked to be
+    finite, symmetric and of agreeing shapes (:class:`InvalidElement`
+    otherwise), it is K-convex by theorem, and the generated (or default)
+    objective is a positive semidefinite quadratic by construction.  A
+    caller's ``objective`` is opaque, so ``validate`` gates only the sampled
     :meth:`ScalarDcFunction.self_check` of that objective.
     """
+    missing = [k for k, v in (("C", C), ("B", B), ("A", A)) if v is None]
+    if missing and len(missing) < 3:
+        raise InvalidElement(f"explicit data needs C, B and A together; "
+                             f"missing {', '.join(missing)}")
+    if not missing and seed is not None:
+        raise InvalidElement(f"explicit C, B and A take no seed, got "
+                             f"seed={seed!r}")
     supplied_objective = objective is not None
     if C is None:
         dim, order = QSDP_DIM, QSDP_ORDER
@@ -300,8 +307,7 @@ def quadratic_sdp(seed: int | None = None, *, C=None, B=None, A=None,
     smooth = quadratic_matrix_map(C, B, A)
     bound = quadratic_hessian_bound(A)
     constraint = regularized_dc_decomposition(
-        smooth, hessian_bound=bound, mu=mu,
-        box=(feasible_set.lo, feasible_set.hi))
+        smooth, hessian_bound=bound, box=(feasible_set.lo, feasible_set.hi))
     facts = {"hessian_bound": bound}
     if x_bar is not None:
         facts["strictly_feasible_point"] = x_bar
@@ -374,7 +380,7 @@ def stiefel(m: int, order: int, objective: ScalarDcFunction | None = None
                                      h0=zero_oracle(d), dim=d)
     constraint = ConeDcMap(
         cone=cone, G=KConvexOracle(g_value, g_qf_subgrad),
-        H=SmoothKConvexOracle(h_value, h_derivative), dim=d)
+        H=SmoothKConvexOracle(h_value, h_derivative))
     X0 = np.eye(m, order)
     return ProblemInstance(
         name=f"stiefel_{m}x{order}",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner
-from .ccp import (INNER_ITER_LIMIT, MAX_ITER, Record, Trace, check_max_iter,
+from .ccp import (INNER_ITER_LIMIT, Record, Trace, check_max_iter,
                   is_fixed_point)
 from .cones import TOL_FEAS, dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InvariantViolation
@@ -124,12 +124,9 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
             trace.termination = FIXED_POINT
             break
         if abs(merit_new_held - merit_old) < cfg.eps_merit:
-            tau = tau_next
             trace.termination = SMALL_MERIT_CHANGE
             break
         tau = tau_next
-    else:
-        trace.termination = MAX_ITER
     return trace
 
 

@@ -170,7 +170,7 @@ def solve_1d_reference(spec):
     {constraint <= 0} around it, then the objective's minimum between them.
     It takes no hint.  The one-sided search of coneccp.inner must agree."""
     from coneccp.inner import (INFEASIBLE, OPTIMAL, TOL_FEAS, SolveReport,
-                               _bisect_min, _bisect_root, _bounds_1d, _scalar)
+                               _bisect_min, _bounds_1d, _scalar)
 
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     if empty:
@@ -187,8 +187,8 @@ def solve_1d_reference(spec):
         if phi_min > 0.0:
             a = b = x_min
         else:
-            a = _bisect_root(phi, lo, x_min, phi_min)
-            b = _bisect_root(phi, hi, x_min, phi_min)
+            a = lo if phi(lo) <= 0.0 else bisect_root_reference(phi, lo, x_min)
+            b = hi if phi(hi) <= 0.0 else bisect_root_reference(phi, hi, x_min)
     x, fx, lbv = _bisect_min(
         *_scalar(spec.objective.value, spec.objective.subgrad), a, b)
     return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)

@@ -105,6 +105,18 @@ class TestRegularizedDecomposition:
         with pytest.raises(TypeError):
             regularized_dc_decomposition(nonconvex_witness(), box=BOX1)
 
+    @pytest.mark.parametrize("bound, mu", [
+        (-1.0, None), (-1.0, 4.0), (np.inf, None), (np.nan, None),
+        (True, None), ("2", None)],
+        ids=["negative", "negative-with-mu", "inf", "nan", "bool", "str"])
+    def test_bound_must_be_finite_nonnegative_real(self, bound, mu):
+        # a negative bound passed with a large mu, a bool passed as 1, a
+        # string was repeated by the order, and an infinite or NaN bound was
+        # reported as a bad mu
+        with pytest.raises(ValueError, match="hessian_bound must be"):
+            regularized_dc_decomposition(nonconvex_witness(),
+                                         hessian_bound=bound, mu=mu)
+
 
 class TestLambdaMaxDecomposition:
     def test_affine_diagonal(self):

@@ -322,7 +322,7 @@ def test_bracketing_agrees_with_bisection(fdf, lo, hi):
         if f(out) <= 0.0:
             continue
         phi, n = _counted(f)
-        root = inner._bisect_root(phi, out, x, fx)
+        root = inner._boundary(phi, x, fx, out)
         ref, m = _counted(f)
         ref(out)
         root_ref = bisect_root_reference(ref, out, x)
@@ -383,14 +383,14 @@ def test_1d_lower_bound_holds_under_rounding():
 
 def test_bracketing_with_denormal_values():
     # phi = 1.5e-323 (x - c) is denormal or zero on the whole box, so the
-    # halved end values of the secant can both reach zero
+    # secant's end values carry a few bits at most
     for c, lo, hi in ((-0.052438944099000295, -7.69271694480658,
                        1.7570598508131703),
                       (-0.2824622222740931, -2.7900203241717145,
                        0.28526001289822067)):
         def phi(x):
             return 1.5e-323 * (x - c)
-        root = inner._bisect_root(phi, hi, lo, phi(lo))
+        root = inner._boundary(phi, lo, phi(lo), hi)
         assert phi(root) <= 0.0 < phi(math.nextafter(root, hi))
 
 
@@ -399,12 +399,32 @@ def test_boundary_at_zero_is_found_at_zero():
     # underflowing to 0 below about 1e-162: bisection ends at 0.0 after its
     # 200 halvings, and so must the bracketing search, in two evaluations
     phi, n = _counted(lambda x: x * x)
-    assert inner._bisect_root(phi, 10.0, 0.0, 0.0) == 0.0
+    assert inner._boundary(phi, 0.0, 0.0, 10.0) == 0.0
     assert n[0] == 2
     p = example29()
     spec = build_constrained(p, np.array([0.0]),
                              p.objective.h0.subgrad(np.array([0.0])))
     assert inner.solve_convex(spec).x_hat[0] == 0.0
+
+
+def test_boundary_searches_from_a_minimum_take_few_evaluations():
+    # from a quadratic's minimum every secant root lands inside, and the
+    # truncated steps then land outside near the boundary: 400 searches take
+    # 7242 evaluations, and took 9919 when Illinois weights, restarted after
+    # each midpoint, moved the outside end
+    rng = np.random.default_rng(0)
+    total = 0
+    for _ in range(200):
+        q, c = rng.uniform(0.1, 10.0), rng.uniform(-2.0, 2.0)
+        s = rng.uniform(-5.0, -0.1)
+        def f(t):
+            return 0.5 * q * (t - c) ** 2 + s
+        phi, n = _counted(f)
+        for outside in (-10.0, 10.0):
+            root = inner._boundary(phi, c, f(c), outside)
+            assert f(root) <= 0.0 < f(math.nextafter(root, outside))
+        total += n[0]
+    assert total <= 8500
 
 
 @pytest.fixture
@@ -421,7 +441,7 @@ def linearizations(monkeypatch):
 
 def test_one_dimensional_runs_evaluate_few_linearizations(linearizations):
     # a count, not a time: the CCP run of example 29 from 2 and the penalty
-    # run of acceptance criterion 1 take 85 and 62 evaluations of the
+    # run of acceptance criterion 1 take 81 and 62 evaluations of the
     # linearization; the penalty run took 93 when its subgradient search
     # closed the bracket around each kink by halvings; the two-sided search
     # around the constraint's minimum, with untruncated steps, took 271 for

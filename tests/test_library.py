@@ -32,6 +32,22 @@ class TestQuadraticSdpChecks:
         assert lambda_max_scalarize(q.constraint.value(np.zeros(3))).value \
             == pytest.approx(-1.0)
 
+    def test_explicit_data_without_c_rejected(self):
+        # B and A alone used to return a random two-variable instance
+        with pytest.raises(InvalidElement, match="missing C"):
+            quadratic_sdp(B=np.zeros((3, 2, 2)), A=np.zeros((3, 3, 2, 2)))
+
+    def test_explicit_c_alone_rejected(self):
+        # C alone used to fail inside len(None)
+        with pytest.raises(InvalidElement, match="missing B, A"):
+            quadratic_sdp(C=-np.eye(2))
+
+    def test_explicit_data_with_a_seed_rejected(self):
+        # nothing is drawn from the seed, yet it named the instance
+        with pytest.raises(InvalidElement, match="no seed, got seed=5"):
+            quadratic_sdp(5, C=-np.eye(2), B=np.zeros((3, 2, 2)),
+                          A=np.zeros((3, 3, 2, 2)))
+
     def test_a_supplied_objective_is_checked_unless_told_not_to(self):
         concave = ScalarDcFunction(g0=quadratic_oracle(-np.eye(2)),
                                    h0=zero_oracle(2), dim=2)
@@ -157,8 +173,6 @@ class TestQuadraticSdp:
         with pytest.raises(ValueError, match="rounds F away on the box"):
             regularized_dc_decomposition(smooth, hessian_bound=1.0, mu=3e7,
                                          box=box1)
-        with pytest.raises(ValueError, match="rounds F away on the box"):
-            quadratic_sdp(7, mu=1e308)
 
 
 class TestStiefel:

@@ -239,7 +239,7 @@ def random_problem(cone, d, rng):
         g0=quadratic_oracle(W @ W.T + np.eye(d), rng.normal(size=d)),
         h0=quadratic_oracle(0.5 * np.eye(d)), dim=d)
     constraint = ConeDcMap(cone, KConvexOracle(g_value, g_qf_subgrad),
-                           SmoothKConvexOracle(h_value, h_derivative), dim=d)
+                           SmoothKConvexOracle(h_value, h_derivative))
     return ProblemInstance("random", objective, constraint,
                            box(-2.0 * np.ones(d), 2.0 * np.ones(d)))
 
