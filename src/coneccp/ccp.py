@@ -38,7 +38,7 @@ INNER_ITER_LIMIT = "inner_iter_limit"
 
 FIXED_POINT_RTOL = 1e-9  # inner solves are inexact; never test exact equality
 SMALL_STEP_TOL = 1e-8  # step that ends a run with strongly convex h0
-DESCENT_SLACK = 1e-8
+DESCENT_SLACK = 1e-8  # rounding allowance of the objective and merit tests
 
 
 def is_fixed_point(step: float, x_new: np.ndarray) -> bool:

@@ -95,6 +95,8 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
     (affine rows of the set are not modeled here).
     complementarity: |<lam, F(x)>|.
     dual feasibility: distance from lam to the cone.
+    The pairing takes the eigenpairs (w, u) of lam's cone part with w > 0,
+    as ``project_pos`` does; w = 0 weighs nothing, so skipping it is exact.
     """
     x = as_point(x, problem.feasible_set.dim)
     v = as_point(v, x.size)
@@ -109,10 +111,7 @@ def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:
 
     d_pair = np.zeros(x.size)
     for k, w, vecs in eigenpairs(lam_pos):
-        # a PSD spectrum carries eigh rounding; orthant components are exact
-        floor = (1e-14 * (1.0 + abs(w[-1])) if lam_pos.blocks[k].ndim == 2
-                 else 0.0)
-        for idx in np.nonzero(w > floor)[0]:
+        for idx in np.nonzero(w > 0.0)[0]:
             d_pair += w[idx] * cmap.G.quad_form_subgrad(x, k, vecs[:, idx])
     d_pair -= cmap.H.derivative(x).pair(lam_pos)
 

@@ -247,12 +247,11 @@ def _cmd_check(args) -> int:
 
 
 def _known_multiplier(problem, x):
-    if x.size != 1:
-        return None
+    # the loader keeps multipliers to one variable and one cone component
     lam = problem.known_facts.get("multipliers", {}).get(str(float(x[0])))
     if lam is None:
         return None
-    return problem.constraint.cone.element(np.array([float(lam)]))
+    return problem.constraint.cone.identity().scale(float(lam))
 
 
 def _cmd_decompose(args) -> int:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner
-from .ccp import (INNER_ITER_LIMIT, Record, Trace, check_max_iter,
-                  is_fixed_point)
+from .ccp import (DESCENT_SLACK, INNER_ITER_LIMIT, Record, Trace,
+                  check_max_iter, is_fixed_point)
 from .cones import TOL_FEAS, dist_to_neg_cone, inner as cone_inner, project_pos
 from .errors import ConeCcpError, InvariantViolation
 from .feasible import point_of
@@ -27,8 +27,6 @@ from .subproblem import build_penalized, recover_slack
 
 FIXED_POINT = "fixed_point"
 SMALL_MERIT_CHANGE = "small_merit_change"
-
-MERIT_SLACK = 1e-8
 
 
 @dataclass
@@ -105,7 +103,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
         merit_old = trace.records[-1].merit
         price = cone_inner(identity, s_new)
         merit_new_held = f_new + tau * price
-        if merit_new_held > merit_old + MERIT_SLACK * (1.0 + abs(merit_old)):
+        if merit_new_held > merit_old + DESCENT_SLACK * (1.0 + abs(merit_old)):
             raise InvariantViolation(
                 f"merit increased at fixed penalty: {merit_old} -> "
                 f"{merit_new_held}")
@@ -153,7 +151,7 @@ def check_merit_decrease(trace: Trace) -> bool:
         e = a.s.cone.identity()
         lhs = b.f0 + a.tau * cone_inner(e, b.s)
         rhs = a.f0 + a.tau * cone_inner(e, a.s)
-        if lhs > rhs + MERIT_SLACK * (1.0 + abs(rhs)):
+        if lhs > rhs + DESCENT_SLACK * (1.0 + abs(rhs)):
             return False
     return True
 

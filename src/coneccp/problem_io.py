@@ -143,15 +143,18 @@ def _load_box(doc) -> FeasibleSet:
     return FeasibleSet(arr[:, 0], arr[:, 1])
 
 
-def _known_facts(doc) -> dict:
+def _known_facts(doc, dim, components) -> dict:
     """The optional ``known_facts`` object; its ``multipliers``, if given,
-    map points (as strings) to finite numbers."""
+    map points of one variable (as strings) to finite numbers."""
     facts = doc.get("known_facts", {})
     if not isinstance(facts, dict):
         raise SchemaError("known_facts must be an object")
     mults = facts.get("multipliers", {})
     if not isinstance(mults, dict):
         raise SchemaError("known_facts.multipliers must be an object")
+    if mults and (dim, components) != (1, 1):
+        raise SchemaError("known_facts.multipliers needs one variable and "
+                          f"one cone component, got {dim} and {components}")
     for key, val in mults.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Real) \
                 or not math.isfinite(val):
@@ -247,7 +250,7 @@ def _load_quadratic(doc):
                            objective=objective,
                            constraint=constraint,
                            feasible_set=fs,
-                           known_facts=_known_facts(doc))
+                           known_facts=_known_facts(doc, d, len(C)))
     return inst, lambda: quadratic_componentwise(C, B, A)
 
 
@@ -296,5 +299,5 @@ def _load_polynomial(doc):
         objective=ScalarDcFunction(g0=g0, h0=h0, dim=1),
         constraint=polynomial_constraint_map(g_coeffs, h_coeffs),
         feasible_set=fs,
-        known_facts=_known_facts(doc))
+        known_facts=_known_facts(doc, 1, len(rows)))
     return inst, lambda: diagonal_componentwise(g_coeffs, h_coeffs)

@@ -18,9 +18,6 @@ from .cones import (ConeElement, check_penalty_scale, eigenpairs, inner,
 from .dc import ConeDerivative, ConvexOracle, KConvexOracle
 from .feasible import FeasibleSet
 
-# Eigenvalues inside [-EIG_ACTIVE_TOL, EIG_ACTIVE_TOL] contribute nothing to
-# slack-cost subgradients (a valid selection on the boundary).
-EIG_ACTIVE_TOL = 1e-12
 # Positive parts this small (relative to the element size) are snapped to
 # zero when recovering slacks, so exact penalty phases report slack zero
 # despite inner-solver roundoff.
@@ -142,7 +139,9 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
     and s >= linearization; its optimal value is the positive part, so the
     spec minimizes  g0(x) - <v, x - x_n> + tau * <e, pos(linearization(x))>
     over A alone.  A tau that is not positive and finite raises
-    :class:`InvalidPenalty`.
+    :class:`InvalidPenalty`.  The subgradient takes each eigenvector of an
+    eigenvalue w > 0, as ``project_pos`` prices them; w = 0 may take any
+    weight in [0, 1] (Lewis 1996), so skipping it is valid.
     """
     check_penalty_scale(tau)
     lin = linearize_constraint(problem, x_n)
@@ -158,7 +157,7 @@ def build_penalized(problem, x_n, v_n, tau) -> SubproblemSpec:
         x = np.asarray(x, dtype=float)
         out = shifted.subgrad(x)
         for k, w, vecs in eigenpairs(lin.at(x)):
-            for idx in np.nonzero(w > EIG_ACTIVE_TOL)[0]:
+            for idx in np.nonzero(w > 0.0)[0]:
                 u = vecs[:, idx]
                 out = out + tau * lin.quad_form_subgrad(x, k, u)
         return out

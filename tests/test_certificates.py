@@ -97,6 +97,28 @@ class TestKktResidual:
                          p.constraint.cone.element(np.array([0.0])))
         assert r.stationarity <= 1e-12
 
+    @pytest.mark.parametrize("x, v, expect", [
+        ([-1.0, -0.25], [0.0, 0.0], 3.0),
+        ([-1.0, -0.25], [-4.0, 0.0], 0.0),
+        ([1.0, -0.25], [0.0, 0.0], 1.0),
+        ([1.0, -0.25], [4.0, 0.0], 0.0),
+        ([-1.0, 0.25], [0.0, 0.0], np.sqrt(10.0)),
+    ])
+    def test_one_box_face(self, x, v, expect):
+        # g0 = x1^2 - x1 + x2^2 + x2 / 2 on [-1, 1]^2 with lam = 0, so
+        # r = v - (2 x1 - 1, 2 x2 + 1/2).  Its distance to the normal cone
+        # is max(0, r1) on the face x1 = -1, max(0, -r1) on x1 = 1, and |r2|
+        # in the interior coordinate: at (-1, -0.25), r = v + (3, 0)
+        objective = ScalarDcFunction(
+            g0=quadratic_oracle(2.0 * np.eye(2), np.array([-1.0, 0.5])),
+            h0=zero_oracle(2), dim=2)
+        constraint = quadratic_sdp(0).constraint
+        p = ProblemInstance("faces", objective, constraint,
+                            box([-1.0, -1.0], [1.0, 1.0]))
+        lam = constraint.cone.identity().scale(0.0)
+        r = kkt_residual(p, x, np.array(v), lam)
+        assert r.stationarity == pytest.approx(expect, abs=1e-12)
+
 
 class TestGeneralizedResidual:
     def test_threshold_penalty_is_generalized_critical(self):

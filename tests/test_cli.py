@@ -201,6 +201,13 @@ class TestPointsAreChecked:
         assert out == ""
         assert err == f"error: expected a finite point of {got}\n"
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_unparsable_x0_exits_3(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, *self.E29, "--x0", "abc")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot parse --x0 'abc'")
+
 
 class TestSolveReportSchema:
     COMMON = ["problem", "algorithm", "termination", "iterations", "x", "f0",
@@ -289,6 +296,22 @@ class TestCheckCommands:
                                  "example29", "--x0=-1", "--tau0", "inf")
         assert code == 3
         assert out == "" and "penalty scale" in err
+
+    def test_huge_penalty_scale(self, capsys):
+        # from 3e13 up the solve raised "merit increased" (exit 3) and the
+        # check read -0.047 at -1, though a gap to an optimum is never < 0
+        code, out, _ = run_cli(capsys, "solve", "penalty-ccp", "--builtin",
+                               "example29", "--x0=-1", "--tau0", "1e14",
+                               "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["termination"] == "fixed_point"
+        assert report["x"] == [-1.0]
+        code, out, _ = run_cli(capsys, "check", "generalized", "--builtin",
+                               "example29", "--x0=-1", "--tau0", "1e14",
+                               "--json")
+        assert code == 0
+        assert json.loads(out)["residual"] >= 0.0
 
     def test_generalized_check(self, capsys):
         code, out, _ = run_cli(capsys, "check", "generalized", "--builtin",
@@ -624,6 +647,49 @@ class TestProblemFiles:
                                json.dumps(doc), "--x0", "1", "--json")
         assert code == 0
         assert json.loads(out)["kkt"] is not None
+
+    def test_known_multiplier_on_a_psd_cone_of_order_one(self, capsys):
+        # min (x - 2)^2 subject to x^2 - 1 <= 0 as a 1x1 PSD block: at 1
+        # the multiplier 1 is exact, so every KKT residual is 0
+        doc = {"kind": "quadratic_sdp", "box": [[-2.0, 2.0]],
+               "cone": {"psd": 1},
+               "constraint": {"C": [[-1.0]], "B": [[[0.0]]],
+                              "A": [[[[1.0]]]]},
+               "objective": {"g0": {"P": [[2.0]], "p": [-4.0], "c": 4.0},
+                             "h0": {"P": [[0.0]]}},
+               "known_facts": {"multipliers": {"1.0": 1.0}}}
+        code, out, _ = run_cli(capsys, "check", "criticality", "--problem",
+                               json.dumps(doc), "--x0", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["kkt"] == {"stationarity": 0.0,
+                                          "complementarity": 0.0,
+                                          "dual_feasibility": 0.0}
+
+    def test_multipliers_need_one_variable_and_one_component(self, capsys):
+        quartic = json.loads((DOCS / "polynomial_quartic.json").read_text())
+        two_rows = edited(quartic, ("constraints",), quartic["constraints"]
+                          + [{"G": [-4.0], "H": [0.0]}])
+        small = json.loads((DOCS / "quadratic_sdp_small.json").read_text())
+        two_variables = {
+            "kind": "quadratic_sdp", "box": [[-1, 1], [-1, 1]],
+            "cone": {"psd": 1},
+            "objective": {"g0": {"P": [[1, 0], [0, 1]]},
+                          "h0": {"P": [[0, 0], [0, 0]]}},
+            "constraint": {"C": [[-1]], "B": [[[0.5]], [[0.5]]],
+                           "A": [[[[0.1]], [[0]]], [[[0]], [[0.1]]]]}}
+        for doc, sizes in ((two_rows, "1 and 2"), (small, "2 and 2"),
+                           (two_variables, "2 and 1")):
+            doc = edited(doc, ("known_facts",), {"multipliers": {"1.0": 0.5}})
+            message = ("known_facts.multipliers needs one variable and one "
+                       f"cone component, got {sizes}")
+            with pytest.raises(SchemaError, match=message):
+                load_problem(doc)
+            code, out, err = run_cli(capsys, "check", "criticality",
+                                     "--problem", json.dumps(doc), "--x0",
+                                     ",".join(["1"] * len(doc["box"])))
+            assert code == 3
+            assert out == ""
+            assert message in err
 
     @pytest.mark.parametrize("box", [
         [-3.0, 3.0, -3.0, 3.0],

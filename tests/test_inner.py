@@ -224,6 +224,22 @@ class TestInfeasibility:
                 if force:
                     assert rep.cuts == added > 0
 
+    def test_a_minimum_within_the_tolerance_is_the_only_point(self):
+        # the constraint's least value 5e-9 lies in (0, TOL_FEAS]: its
+        # minimizer is taken as the one feasible point, though the
+        # objective x descends away from it
+        stub = SimpleNamespace(
+            scalarized=lambda x: (x[0] - 0.3) ** 2 + 5e-9,
+            scalarized_subgrad=lambda x: np.array([2.0 * (x[0] - 0.3)]))
+        spec = SubproblemSpec(objective=quadratic_oracle(np.zeros((1, 1)),
+                                                         np.ones(1)),
+                              feasible_set=box([-1.0], [1.0]),
+                              constraint=stub)
+        assert 0.0 < 5e-9 <= inner.TOL_FEAS
+        rep = inner.solve_convex(spec)
+        assert rep.status == inner.OPTIMAL
+        assert rep.x_hat[0] == pytest.approx(0.3, abs=1e-12)
+
 
 class TestSlaterProbe:
     def test_interior_base(self):
@@ -452,6 +468,15 @@ def test_one_dimensional_runs_evaluate_few_linearizations(linearizations):
     run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
         tau0=1.0, mu=2.0, kappa=1e-6, tau_max=1024.0))
     assert len(linearizations) <= 70
+
+
+def test_an_exact_penalty_run_evaluates_few_linearizations(linearizations):
+    # acceptance criterion 3 stops at -1 after one subproblem in 14
+    # evaluations; it took 40 when the subgradient skipped eigenvalues in
+    # (0, 1e-12], whose false tangents kept the certified gap open
+    run_penalty_ccp(example29(), [-1.0], PenaltyConfig(
+        tau0=1.5, mu=2.0, kappa=1e-6, tau_max=1024.0))
+    assert len(linearizations) <= 20
 
 
 def test_a_penalized_kink_is_found_in_few_linearizations(linearizations):

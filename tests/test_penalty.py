@@ -40,6 +40,17 @@ class TestGoldenRuns:
         assert tr.iterations == 1
         assert abs(tr.records[1].x[0] - tr.records[0].x[0]) <= 1e-6
 
+    @pytest.mark.parametrize("tau0", [1e14, 1e300])
+    def test_huge_initial_penalty_freezes_the_start(self, tau0):
+        # the first subproblem's optimum is the base point at any scale
+        # above 1.5; from 3e13 up a subgradient that skipped eigenvalues in
+        # (0, 1e-12] stepped off -1 and raised "merit increased"
+        tr = run_penalty_ccp(example29(), [-1.0],
+                             PenaltyConfig(tau0=tau0, mu=2.0))
+        assert tr.termination == penalty.FIXED_POINT
+        assert tr.iterations == 1
+        assert tr.final_x[0] == -1.0
+
     def test_start_outside_set_rejected(self):
         with pytest.raises(InfeasibleStart):
             run_penalty_ccp(example29(), [12.0], PenaltyConfig(**REFERENCE_CFG))

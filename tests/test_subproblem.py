@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,97 @@ class TestOuterApproximation:
                 x, y = rng.uniform(fs.lo, fs.hi), rng.uniform(fs.lo, fs.hi)
                 mid = f(0.5 * (x + y))
                 assert mid <= 0.5 * (f(x) + f(y)) + 1e-9 * (1.0 + abs(mid))
+
+
+# ---------------------------------------------------------------------------
+# The penalized subgradient against its value across the kinks of pos(lin)
+
+
+def _spectrum(lin, x):
+    """The eigenvalues of every block of the linearization at x, in order."""
+    return np.concatenate([w for _, w, _ in eigenpairs(lin.value(x))])
+
+
+def _crossing(phi, level):
+    """Adjacent floats a < b of [0, 1] across which phi crosses level."""
+    a, b = 0.0, 1.0
+    below = phi(a) <= level
+    while (m := 0.5 * (a + b)) not in (a, b):
+        if (phi(m) <= level) == below:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def _lin_scale(lin, x):
+    """|G(x)| + |H(x_n)| + |DH(x_n)(x - x_n)|: the size of the terms whose
+    rounding moves an eigenvalue of the linearization at x."""
+    step = lin.dh_base.apply_blocks(x - lin.base_point)
+    return (lin.gmap.value(x).norm() + lin.h_base.norm()
+            + float(np.sqrt(sum(float(np.sum(s * s)) for s in step))))
+
+
+def _subgradient_defect(spec, tau, points):
+    """The largest f(x) + g(x)(y - x) - f(y) over the pairs of points, in
+    units of its rounding: 4 ulps of max(|f|, 1), plus tau times 4 ulps of
+    the linearization's terms, which the slack cost scales by tau."""
+    f, g, lin = spec.objective.value, spec.objective.subgrad, spec.lin
+    eps = np.finfo(float).eps
+    worst = -np.inf
+    for x in points:
+        fx, gx, sx = f(x), g(x), _lin_scale(lin, x)
+        for y in points:
+            fy = f(y)
+            tol = (4.0 * math.ulp(max(abs(fx), abs(fy), 1.0))
+                   + 4.0 * eps * tau * (sx + _lin_scale(lin, y)))
+            worst = max(worst, (fx + float(gx @ (y - x)) - fy) / tol)
+    return worst
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e8, 1e14])
+@pytest.mark.parametrize("make", [
+    example29, stiefel11_builtin, *(
+        (lambda s=s: quadratic_sdp(s)) for s in range(4))],
+    ids=["example29", "stiefel11", *(f"quadratic_sdp{s}" for s in range(4))])
+def test_penalized_subgradient_holds_across_the_kinks(make, tau):
+    # the slack cost is priced on the eigenvalues w > 0; a subgradient that
+    # left out those in (0, 1e-12] broke this inequality by up to tau 1e-12
+    p = make()
+    fs = p.feasible_set
+    rng = np.random.default_rng(7)
+    segments = 0
+    for _ in range(2):
+        x_n = rng.uniform(fs.lo, fs.hi)
+        spec = build_penalized(p, x_n, p.objective.h0.subgrad(x_n), tau)
+        for _ in range(200):
+            u, w = rng.uniform(fs.lo, fs.hi), rng.uniform(fs.lo, fs.hi)
+            flips = np.nonzero((_spectrum(spec.lin, u) <= 0.0)
+                               != (_spectrum(spec.lin, w) <= 0.0))[0]
+            if flips.size:
+                break
+        else:
+            continue
+        j = flips[0]
+        phi = lambda t: _spectrum(spec.lin, u + t * (w - u))[j]
+        # floats on each side of the kink, and where 0 < eigenvalue <= 1e-12
+        points = [u + t * (w - u) for level in (-1e-12, 0.0, 1e-14, 5e-13)
+                  for t in _crossing(phi, level)]
+        assert _subgradient_defect(spec, tau, points) <= 1.0
+        segments += 1
+    assert segments
+
+
+def test_penalized_subgradient_at_a_tiny_positive_linearization():
+    # at -0.9999999999999989 the linearization is 2.2e-15 > 0: the value
+    # prices it, so the subgradient must carry tau times its derivative
+    p = example29()
+    x, y = np.array([-0.9999999999999989]), np.array([-1.0])
+    spec = build_penalized(p, x, p.objective.h0.subgrad(x), 1e14)
+    assert 0.0 < spec.lin.scalarized(x) <= 1e-12
+    f, g = spec.objective.value, spec.objective.subgrad
+    assert g(x)[0] == pytest.approx(2e14, rel=1e-6)
+    assert f(y) >= f(x) + float(g(x) @ (y - x)) - 4.0 * math.ulp(f(x))
 
 
 # ---------------------------------------------------------------------------
