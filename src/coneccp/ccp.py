@@ -138,7 +138,7 @@ def run_ccp(problem, x0, config: CcpConfig | None = None) -> Trace:
         v = problem.objective.h0.subgrad(x)
         spec = build_constrained(problem, x, v)
         # subproblems are solved ten times tighter than the stopping rule
-        rep = inner.solve_convex(spec, tol=cfg.eps_f / 10.0, feasible_hint=x)
+        rep = inner.solve_convex(spec, tol=cfg.eps_f / 10.0)
         if rep.status == inner.INFEASIBLE:
             raise SubproblemInfeasible(
                 "subproblem infeasible despite a feasible base point")

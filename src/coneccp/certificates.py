@@ -22,7 +22,7 @@ import numpy as np
 from . import inner
 from .cones import (TOL_FEAS_POINT, ConeElement, dist_to_neg_cone,
                     eigenpairs, inner as cone_inner, project_pos)
-from .errors import InfeasibleStart, SubproblemInfeasible
+from .errors import InfeasibleStart, InvariantViolation, SubproblemInfeasible
 from .feasible import CONTAINS_TOL, as_point, point_of
 from .subproblem import build_constrained, build_penalized, linearize_constraint
 
@@ -56,19 +56,16 @@ def criticality_residual(problem, x, v=None) -> float:
     """Gap between x and the optimum of its own linearized subproblem.
 
     Nonnegative up to solver tolerance; at or below tolerance the point is
-    critical for the supplied subgradient choice.
+    critical for the supplied subgradient choice.  A negative gap is not
+    checked: x may break its own linearization by up to ``TOL_FEAS_POINT``,
+    and then lies outside its subproblem.
     """
     x = point_of(problem.feasible_set, x)
     if infeasibility(problem, x) > TOL_FEAS_POINT:
         raise InfeasibleStart("criticality residual needs a feasible point")
     if v is None:
         v = problem.objective.h0.subgrad(x)
-    spec = build_constrained(problem, x, v)
-    rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL, feasible_hint=x)
-    if rep.status == inner.INFEASIBLE:
-        raise SubproblemInfeasible(
-            "linearized subproblem infeasible at a feasible point")
-    return float(problem.objective.g0.value(x) - rep.objective_value)
+    return _gap_at_base(build_constrained(problem, x, v))[0]
 
 
 def generalized_criticality_residual(problem, x, tau, v=None) -> float:
@@ -76,15 +73,29 @@ def generalized_criticality_residual(problem, x, tau, v=None) -> float:
 
     Defined at points of A that violate the cone constraint as well; at or
     below tolerance the point is generalized-critical for penalty tau times
-    the cone identity.
+    the cone identity.  The subproblem is minimized over all of A, which
+    holds x, so a gap below minus the solve's ``gap_bound`` and rounding
+    raises :class:`InvariantViolation`.
     """
     x = point_of(problem.feasible_set, x)
     if v is None:
         v = problem.objective.h0.subgrad(x)
-    spec = build_penalized(problem, x, v, tau)
-    rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL, feasible_hint=x)
-    value_at_x = spec.objective.value(x)
-    return float(value_at_x - rep.objective_value)
+    gap, value, rep = _gap_at_base(build_penalized(problem, x, v, tau))
+    if gap < -(rep.gap_bound + inner.SUBPROBLEM_TOL * (1.0 + abs(value))):
+        raise InvariantViolation(
+            f"penalized subproblem optimum {rep.objective_value} lies above "
+            f"its value {value} at x")
+    return gap
+
+
+def _gap_at_base(spec):
+    """The spec's objective at its base point minus the optimum of its solve,
+    with that value and the solve's report."""
+    rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL)
+    if rep.status == inner.INFEASIBLE:
+        raise SubproblemInfeasible("subproblem infeasible at its base point")
+    value = spec.objective.value(spec.lin.base_point)
+    return float(value - rep.objective_value), value, rep
 
 
 def kkt_residual(problem, x, v, lam: ConeElement) -> KktResiduals:

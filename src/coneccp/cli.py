@@ -13,9 +13,10 @@ Subcommands:
 Exit codes: 0 success, 2 infeasible start (an --x0 outside the box or affine
 rows of the set, for solve and check; or one that violates the cone
 constraint, for solve ccp and check criticality), 3 schema/problem-file
-error, malformed --x0, negative --max-iter or --seed, or an out-of-range
---samples, --tol, --tau0, --mu or --kappa, 4 iteration limit (outer loop or
-inner solver), 64 usage error.
+error, malformed --x0, negative --max-iter or --seed, an out-of-range
+--samples, --tol, --tau0, --mu or --kappa, or any other library error
+raised during a run, such as InvariantViolation or SubproblemInfeasible,
+4 iteration limit (outer loop or inner solver), 64 usage error.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     except InfeasibleStart as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_START
-    except (SchemaError, ConeCcpError) as exc:
+    except ConeCcpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-# lambda_max_scalarize is not called here, but the benchmark's tracer
-# (solverbench/layers.py) counts its calls by patching dc.lambda_max_scalarize
 from .cones import (TOL_FEAS, Cone, ConeElement, PsdCone,
                     lambda_max_scalarize)
 from .convexity import verify_k_convexity
@@ -47,6 +45,7 @@ class ConvexOracle:
 
 def zero_oracle(dim: int) -> ConvexOracle:
     z = np.zeros(dim)
+    z.setflags(write=False)  # every call returns this one array
     return ConvexOracle(lambda x: 0.0, lambda x: z)
 
 
@@ -293,13 +292,10 @@ def lambda_max_subgradient(F: ComponentwiseDcMatrix, x) -> tuple[np.ndarray,
 
     Uses a unit eigenvector v for the top eigenvalue of F(x); entry (i, j)
     contributes with weight v_i v_j + 1 on the convex part and 1 - v_i v_j on
-    the concave part.  When the top eigenvalue is multiple, the eigenvector
-    delivered first by the eigendecomposition is used; any such choice yields
-    a valid subgradient element.
+    the concave part.  v is :func:`lambda_max_scalarize`'s, the last column
+    of ``eigh``; for a multiple top eigenvalue any choice is valid.
     """
-    A = F.value(x)
-    _, vecs = np.linalg.eigh(A)
-    v = vecs[:, -1]
+    v = lambda_max_scalarize(PsdCone(F.order).element(F.value(x))).vector
     xi_g = np.zeros(F.dim)
     xi_h = np.zeros(F.dim)
     for i in range(F.order):

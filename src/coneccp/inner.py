@@ -15,8 +15,8 @@ One-dimensional subproblems take a shortcut: a safeguarded search on the
 end tangents brackets the minimizer until the certified gap closes, at the
 latest at adjacent floats, and a safeguarded false-position search brackets
 the boundary of the constraint's sublevel set down to adjacent floats.  A
-constrained search starts from a feasible point, the caller's iterate when
-it is one, where the objective's subgradient tells on which side the
+constrained search starts from a feasible point, the subproblem's base point
+when it is one, where the objective's subgradient tells on which side the
 minimizer lies, and searches only the boundary on that side.  It must agree
 with the general path within tolerance and is what the analytic regression
 tests exercise.
@@ -73,8 +73,7 @@ class SlaterProbe:
     status: str = OPTIMAL
 
 
-def solve_convex(spec: SubproblemSpec, tol=1e-8,
-                 feasible_hint=None) -> SolveReport:
+def solve_convex(spec: SubproblemSpec, tol=1e-8) -> SolveReport:
     """Epsilon-optimal minimization of a subproblem spec.
 
     Returns a point whose objective is within ``tol`` of the optimum and
@@ -87,20 +86,20 @@ def solve_convex(spec: SubproblemSpec, tol=1e-8,
 
     One-dimensional lower bounds (``gap_bound`` and the infeasibility
     ``certificate``) hold for the oracles as computed, with 4 ulps left for
-    rounding between nearby floats; rounding inside the oracles themselves,
-    such as an ``eigh``'s backward error, is outside the certificate.
+    rounding between nearby floats, also where the computed constraint is
+    <= 0 again past the boundary found; rounding inside the oracles
+    themselves, such as an ``eigh``'s backward error, is outside the
+    certificate.
 
-    ``feasible_hint`` is a point of the set, such as the outer loop's
-    iterate.  The Kelley loop makes its first cut there instead of at the
-    set's center.  A one-dimensional constrained search starts there when
-    the constraint holds at it, and then runs no minimization of the
-    constraint.  A hint outside the set is ignored: on the Kelley path one
-    that ``FeasibleSet.contains`` rejects, in one dimension one outside
-    [lo, hi] after the affine rows.
+    A solve starts at its linearization's base point when that lies in the
+    set.  The Kelley loop makes its first cut there instead of at the set's
+    center.  A one-dimensional constrained search starts there when it is
+    in [lo, hi] after the affine rows and meets the constraint, and then
+    runs no minimization of the constraint.
     """
     if spec.feasible_set.dim == 1:
-        return _solve_1d(spec, feasible_hint)
-    return _solve_general(spec, tol, feasible_hint)
+        return _solve_1d(spec)
+    return _solve_general(spec, tol)
 
 
 def slater_probe(constraint: LinearizedConstraint,
@@ -245,11 +244,11 @@ def _kelley_min(value, subgrad, fs: FeasibleSet, tol, seeds,
     return _KelleyRun(x, f, lb, status, master.cuts, points)
 
 
-def _solve_general(spec, tol, feasible_hint=None):
+def _solve_general(spec, tol):
     fs = spec.feasible_set
     con = spec.constraint
-    seed = (feasible_hint if feasible_hint is not None
-            and fs.contains(feasible_hint) else fs.center())
+    seed = (spec.lin.base_point if spec.lin is not None
+            and fs.contains(spec.lin.base_point) else fs.center())
     run = _kelley_min(spec.objective.value, spec.objective.subgrad, fs, tol,
                       [seed], constraint=con)
     if run.status != INFEASIBLE and run.x is not None:
@@ -426,17 +425,20 @@ def _scalar(value, subgrad):
             lambda x: float(subgrad(np.array([x]))[0]))
 
 
-def _solve_1d(spec: SubproblemSpec, feasible_hint=None) -> SolveReport:
+def _solve_1d(spec: SubproblemSpec) -> SolveReport:
     """A one-dimensional subproblem by bracketing, until the certified gap
     closes, at the latest at adjacent floats.
 
     In constrained mode the search starts from a point c of
-    {constraint <= 0}: the hint when it lies in [lo, hi] and meets the
-    constraint, else the constraint's minimum (infeasible when above
+    {constraint <= 0}: the base point when it lies in [lo, hi] and meets
+    the constraint, else the constraint's minimum (infeasible when above
     ``TOL_FEAS``).  A convex objective has f(x) >= f(c) + g (x - c) for its
     subgradient g at c, so only the end of {constraint <= 0} on the side
     where g descends is searched for, both ends when g is zero or NaN, and
-    the objective is minimized between that end and c.
+    the objective is minimized between that end and c.  Where the minimum
+    lies on an end found by that search, the lower bound reaches past it as
+    far as the computed constraint may still be <= 0 (:func:`_beyond`), so
+    it holds for {constraint <= 0} as computed, not for the end alone.
     """
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     if empty:
@@ -449,8 +451,8 @@ def _solve_1d(spec: SubproblemSpec, feasible_hint=None) -> SolveReport:
     if con is not None:
         phi, dphi = _scalar(con.scalarized, con.scalarized_subgrad)
         phi_c = np.nan
-        if feasible_hint is not None:
-            c = float(feasible_hint[0])
+        if spec.lin is not None:
+            c = float(spec.lin.base_point[0])
             if lo <= c <= hi:
                 phi_c = phi(c)
         if not phi_c <= 0.0:
@@ -465,5 +467,28 @@ def _solve_1d(spec: SubproblemSpec, feasible_hint=None) -> SolveReport:
             a = c if g < 0.0 else _boundary(phi, c, phi_c, lo)
             b = c if g > 0.0 else _boundary(phi, c, phi_c, hi)
     x, fx, lbv = _bisect_min(f, df, a, b)
+    if con is not None and phi_c <= 0.0 and x in (a, b):
+        g = df(x)
+        for end, edge in ((a, lo), (b, hi)):
+            slope = g * math.copysign(1.0, edge - end)
+            if x == end and slope < 0.0:
+                lbv += slope * _beyond(phi, dphi, end, edge)
     return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)
 
+
+def _beyond(phi, dphi, end, edge):
+    """How far past a boundary point ``end`` of {phi <= 0}, toward ``edge``,
+    the computed phi may still be <= 0.
+
+    The 1-D bounds take phi to be computed to a margin of 4 ulps of the
+    largest of 1 and |phi|.  A computed phi(t) <= 0 then means the exact
+    phi(t) is at most that margin, and the exact phi, convex, lies above
+    its tangent at ``end``.  So t is at most (2 margin - phi(end)) / slope
+    past ``end``, the slope taken toward ``edge``; when that slope is not
+    positive, any point up to ``edge`` may be."""
+    room = abs(edge - end)
+    slope = dphi(end) * math.copysign(1.0, edge - end)
+    if slope > 0.0:
+        phi_end = phi(end)
+        room = min(room, (2.0 * _rounding_margin(phi_end) - phi_end) / slope)
+    return room

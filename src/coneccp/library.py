@@ -446,7 +446,7 @@ def random_componentwise_dc(seed: int, order=2,
 def diagonal_componentwise(g_coeffs: list, h_coeffs: list) -> ComponentwiseDcMatrix:
     """Univariate diagonal componentwise-DC matrix from polynomial rows."""
     order = len(g_coeffs)
-    zero = ConvexOracle(lambda x: 0.0, lambda x: np.zeros(1))
+    zero = zero_oracle(1)
     upper = {}
     for i in range(order):
         for j in range(i, order):

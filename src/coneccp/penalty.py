@@ -89,8 +89,7 @@ def run_penalty_ccp(problem, x0, config: PenaltyConfig) -> Trace:
     for n in range(cfg.max_iter):
         v = problem.objective.h0.subgrad(x)
         spec = build_penalized(problem, x, v, tau)
-        rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL,
-                                 feasible_hint=x)
+        rep = inner.solve_convex(spec, tol=inner.SUBPROBLEM_TOL)
         if rep.status == inner.ITER_LIMIT:
             trace.termination = INNER_ITER_LIMIT
             break

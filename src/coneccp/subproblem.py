@@ -84,7 +84,8 @@ class SubproblemSpec:
     ``objective`` is g0(x) - <v, x - x_n>, with the closed-form slack cost
     added in penalized mode.  ``constraint`` is the scalarized linearization
     in constrained mode; a spec without one is penalized (or has no cone
-    constraint at all).  ``lin`` is the linearization in either mode.
+    constraint at all).  ``lin``, the linearization in either mode, gives
+    the inner solver its start: the base point, where the spec is tight.
     Immutable: the linearization caches H(x_n) and DH(x_n) at build time;
     its only changing state is the memo of the last point asked.
     """

@@ -168,9 +168,11 @@ def solve_1d_reference(spec):
     """A one-dimensional subproblem as first solved: the constraint's minimum
     first (infeasible when above ``TOL_FEAS``), then both ends of
     {constraint <= 0} around it, then the objective's minimum between them.
-    It takes no hint.  The one-sided search of coneccp.inner must agree."""
+    It ignores the base point.  Its lower bound reaches past a boundary as
+    far as the computed constraint may still be <= 0 there.  The one-sided
+    search of coneccp.inner must agree."""
     from coneccp.inner import (INFEASIBLE, OPTIMAL, TOL_FEAS, SolveReport,
-                               _bisect_min, _bounds_1d, _scalar)
+                               _beyond, _bisect_min, _bounds_1d, _scalar)
 
     lo, hi, empty = _bounds_1d(spec.feasible_set)
     if empty:
@@ -189,8 +191,13 @@ def solve_1d_reference(spec):
         else:
             a = lo if phi(lo) <= 0.0 else bisect_root_reference(phi, lo, x_min)
             b = hi if phi(hi) <= 0.0 else bisect_root_reference(phi, hi, x_min)
-    x, fx, lbv = _bisect_min(
-        *_scalar(spec.objective.value, spec.objective.subgrad), a, b)
+    f, df = _scalar(spec.objective.value, spec.objective.subgrad)
+    x, fx, lbv = _bisect_min(f, df, a, b)
+    if con is not None and phi_min <= 0.0:
+        for end, edge in ((a, lo), (b, hi)):
+            slope = df(x) if edge > end else -df(x)
+            if x == end and slope < 0.0:
+                lbv += slope * _beyond(phi, dphi, end, edge)
     return SolveReport(np.array([x]), fx, max(fx - lbv, 0.0), OPTIMAL)
 
 

@@ -7,7 +7,8 @@ from coneccp.certificates import (certify, criticality_residual,
                                   generalized_criticality_residual,
                                   infeasibility, kkt_residual)
 from coneccp.ccp import run_ccp
-from coneccp.errors import ConeCcpError, InfeasibleStart
+from coneccp import inner
+from coneccp.errors import ConeCcpError, InfeasibleStart, InvariantViolation
 from coneccp.penalty import PenaltyConfig, run_penalty_ccp
 from coneccp.library import example29, quadratic_sdp, zero_oracle
 from coneccp.dc import ScalarDcFunction, quadratic_oracle
@@ -154,6 +155,25 @@ class TestGeneralizedResidual:
     def test_defined_at_infeasible_points(self):
         res = generalized_criticality_residual(example29(), [0.5], 2.0)
         assert np.isfinite(res) and res >= -1e-10
+
+    def test_an_optimum_above_the_value_at_x_raises(self, monkeypatch):
+        # x is a point of its own penalized subproblem, so an optimum above
+        # its value there beyond the gap bound is a solver defect; the
+        # criticality residual's base point may lie outside its subproblem
+        # and is not checked
+        solve = inner.solve_convex
+
+        def high(spec, tol=1e-8):
+            rep = solve(spec, tol)
+            rep.objective_value += 1.0
+            return rep
+
+        monkeypatch.setattr(inner, "solve_convex", high)
+        with pytest.raises(InvariantViolation, match="lies above"):
+            generalized_criticality_residual(quadratic_sdp(0), [0.5, -0.5],
+                                             1.0)
+        assert criticality_residual(example29(), [1.0]) == pytest.approx(
+            -1.0, abs=1e-8)
 
 
 class TestInfeasibilityMeasure:

@@ -313,6 +313,26 @@ class TestCheckCommands:
         assert code == 0
         assert json.loads(out)["residual"] >= 0.0
 
+    def test_a_negative_generalized_gap_exits_3(self, capsys, monkeypatch):
+        # an optimum reported above the penalized value at x, which the
+        # subproblem reaches, is a solver defect, not a pass
+        solve = inner.solve_convex
+
+        def high(spec, tol=1e-8):
+            rep = solve(spec, tol)
+            rep.objective_value += 1.0
+            rep.gap_bound = 0.0
+            return rep
+
+        monkeypatch.setattr(inner, "solve_convex", high)
+        code, out, err = run_cli(capsys, "check", "generalized", "--builtin",
+                                 "example29", "--x0=-1", "--tau0", "1.5",
+                                 "--json")
+        assert code == 3
+        assert out == ""
+        assert ("penalized subproblem optimum 3.25 lies above its value 2.25 "
+                "at x") in err
+
     def test_generalized_check(self, capsys):
         code, out, _ = run_cli(capsys, "check", "generalized", "--builtin",
                                "example29", "--x0=-1", "--tau0", "1.5",
@@ -335,6 +355,16 @@ class TestDecomposeAndVerify:
         report = json.loads(out)
         assert report["max_identity_error"] <= 1e-10
         assert "subgradients_at_x0" in report
+
+    def test_decompose_at_an_overflowing_x0_exits_3(self, capsys):
+        # F(1e200) overflows; the subgradient at x0 is refused, not printed
+        # as NaN
+        code, out, err = run_cli(capsys, "decompose", "lambda-max",
+                                 "--builtin", "example29", "--x0", "1e200",
+                                 "--samples", "0", "--json")
+        assert code == 3
+        assert out == ""
+        assert "non-finite entries in cone element" in err
 
     def test_verify_convexity_passes_on_library_instance(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "convexity", "--builtin",

@@ -198,6 +198,21 @@ class TestLambdaMaxDecomposition:
                         assert orc.value(y) >= lower - 1e-9 * (1.0 + abs(fx))
 
 
+def test_the_zero_subgradient_cannot_be_edited():
+    # every call of a zero oracle returns one shared array, which reaches
+    # callers such as a certificate's v; an edit there must not change h0
+    from coneccp.certificates import certify
+    from coneccp.library import example29
+
+    p = example29()
+    c = certify(p, [1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        c.v[0] = 5.0
+    assert p.objective.h0.subgrad(np.array([0.3])).tolist() == [0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        zero_oracle(2).subgrad(np.zeros(2))[:] = 1.0
+
+
 class TestLambdaMaxSubgradient:
     def test_hand_value_on_affine_instance(self):
         # F = diag(x, 2x), G = F, H = 0 at x = 1: top eigenvector e2,
@@ -212,6 +227,17 @@ class TestLambdaMaxSubgradient:
         assert xi_h[0] == pytest.approx(3.0, abs=1e-12)
         # difference is the derivative of lambda_max = 2x
         assert (xi_g - xi_h)[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_a_non_finite_matrix_is_refused(self):
+        # the eigenvector comes from a validated cone element, so an F(x)
+        # with an infinite entry raises instead of giving a subgradient
+        F = ComponentwiseDcMatrix.from_upper(2, 1, {
+            (0, 0): (const_oracle(np.inf), const_oracle(0.0)),
+            (0, 1): (const_oracle(0.0), const_oracle(0.0)),
+            (1, 1): (const_oracle(1.0), const_oracle(0.0)),
+        })
+        with pytest.raises(InvalidElement, match="non-finite"):
+            lambda_max_subgradient(F, np.array([0.0]))
 
     def test_constant_map_has_zero_subgradients(self):
         F = ComponentwiseDcMatrix.from_upper(2, 1, {

@@ -520,19 +520,29 @@ def _ordinal(x):
 
 def test_one_sided_search_agrees_with_the_two_sided_one():
     """Constrained 1-D subproblems with random convex quadratic objectives,
-    solved from no hint, from the base point, from a random point of the box
-    (often infeasible) and from a point outside the box, agree with the
-    two-sided search of the constraint's minimum: same status, each lower
-    bound at most the other's value, and x within 4 ulps on the boundary;
-    an interior x within 64 floats, its value within 4 ulps."""
+    solved from their base point (often outside the box or infeasible) and
+    without a linearization to start from, agree with the two-sided search
+    of the constraint's minimum: same status, each lower bound at most the
+    other's value, and x within 4 ulps on the boundary; an interior x within
+    64 floats, its value within 4 ulps.  Where the computed constraint is
+    <= 0 again past a boundary, the two searches may stop at different
+    edges, and each lower bound covers the band past its own."""
     seen = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(st.sampled_from(["e29", "s11", "poly"]),
-           st.sampled_from(["none", "base", "box", "outside"]),
+           st.sampled_from(["none", "base"]),
            st.integers(0, 2 ** 32 - 1))
-    def check(kind, hint, seed):
+    # computed constraints that are <= 0 again past the boundary: there a
+    # bound that stopped at its own boundary fell below the other's value
+    # (one-sided search at 2054 and 3112, reference at 18), and the
+    # boundaries lie 256 floats apart at 1737500
+    @example("poly", "base", 2054)
+    @example("poly", "none", 3112)
+    @example("poly", "base", 18)
+    @example("poly", "none", 1737500)
+    def check(kind, start, seed):
         rng = np.random.default_rng(seed)
         problem, z = _random_linearization(kind, rng)
         lo, hi = rng.uniform(-3.0, -0.5), rng.uniform(0.5, 3.0)
@@ -541,9 +551,9 @@ def test_one_sided_search_agrees_with_the_two_sided_one():
         objective = quadratic_oracle(np.array([[q]]), np.array([-q * m]))
         lin = linearize_constraint(problem, np.array([z]))
         spec = SubproblemSpec(objective, box([lo], [hi]), lin, lin)
-        x_hint = {"none": None, "base": [z], "box": [rng.uniform(lo, hi)],
-                  "outside": [hi + 1.0]}[hint]
-        rep = inner.solve_convex(spec, feasible_hint=x_hint)
+        if start == "none":
+            spec = dataclasses.replace(spec, lin=None)
+        rep = inner.solve_convex(spec)
         ref = solve_1d_reference(spec)
         assert rep.status == ref.status
         if ref.status == inner.INFEASIBLE:
@@ -560,22 +570,29 @@ def test_one_sided_search_agrees_with_the_two_sided_one():
             assert abs(fx - f_ref) <= 4.0 * math.ulp(
                 max(abs(fx), abs(f_ref), 1.0))
         else:
-            assert abs(x - x_ref) <= 4.0 * math.ulp(max(abs(x), abs(x_ref)))
+            # the two boundaries are 4 ulps apart, or the outer one lies in
+            # the band past the inner one that both lower bounds cover
+            edge = lo if q * (x - m) >= 0.0 else hi
+            near, far = sorted((x, x_ref), key=lambda t: abs(t - edge))
+            assert (abs(x - x_ref) <= 4.0 * math.ulp(max(abs(x), abs(x_ref)))
+                    or far - near <= inner._beyond(*inner._scalar(
+                        lin.scalarized, lin.scalarized_subgrad), far, edge))
         assert fx - rep.gap_bound <= f_ref
         assert f_ref - ref.gap_bound <= fx
         seen.add(("interior" if inside else "boundary",
-                  x_hint is not None and lo <= x_hint[0] <= hi
-                  and lin.scalarized(np.array(x_hint)) <= 0.0))
+                  spec.lin is not None and lo <= z <= hi
+                  and lin.scalarized(np.array([z])) <= 0.0))
 
     check()
     assert seen == {"infeasible", ("interior", True), ("interior", False),
                     ("boundary", True), ("boundary", False)}
 
 
-def test_a_feasible_hint_is_searched_from_toward_descent(monkeypatch):
-    """Example 29 linearized at 2 with objective (x - 0.5)^2 and hint 2: the
+def test_a_feasible_base_point_is_searched_from_toward_descent(monkeypatch):
+    """Example 29 linearized at 2, a point of its own subproblem: the
     objective rises at 2, so the constraint is evaluated only at 2 and
-    toward the lower end, and never minimized."""
+    toward the lower end, and never minimized: its one subgradient is taken
+    at the boundary found, for the lower bound past it."""
     from coneccp import subproblem
 
     p = example29()
@@ -589,35 +606,72 @@ def test_a_feasible_hint_is_searched_from_toward_descent(monkeypatch):
     monkeypatch.setattr(subproblem.LinearizedConstraint, "scalarized_subgrad",
                         lambda self, y: subgrads.append(y[0]) or
                         subgrad(self, y))
-    rep = inner.solve_convex(spec, feasible_hint=x)
+    rep = inner.solve_convex(spec)
     assert at and max(at) == 2.0
-    assert subgrads == []
+    assert subgrads == [rep.x_hat[0]] and rep.x_hat[0] < 2.0
     same_report(rep, solve_1d_reference(
         build_constrained(p, x, p.objective.h0.subgrad(x))))
 
 
-@pytest.mark.parametrize("hint", [[12.0], [-10.5], [np.nan], [0.5]],
-                         ids=["above", "below", "nan", "infeasible"])
-def test_a_1d_hint_outside_the_set_or_constraint_is_ignored(hint):
+@pytest.mark.parametrize("base", [12.0, -10.5, 0.5],
+                         ids=["above", "below", "infeasible"])
+def test_a_1d_hint_outside_the_set_or_constraint_is_ignored(base):
+    # a base point outside [-10, 10] or one that breaks its own
+    # linearization is no start: the search minimizes the constraint, as
+    # it does for a spec with no linearization
     p = example29()
-    x = np.array([2.0])
-    v = p.objective.h0.subgrad(x)
-    plain = inner.solve_convex(build_constrained(p, x, v))
-    same_report(inner.solve_convex(build_constrained(p, x, v),
-                                    feasible_hint=hint), plain)
+    x = np.array([base])
+    spec = build_constrained(p, x, p.objective.h0.subgrad(x))
+    same_report(inner.solve_convex(spec),
+                inner.solve_convex(dataclasses.replace(spec, lin=None)))
 
 
-@pytest.mark.parametrize("hint", [[5.0, 5.0], [np.nan, np.nan],
-                                  [0.0, np.inf]], ids=["far", "nan", "inf"])
-def test_a_hint_outside_the_set_does_not_seed_kelley(hint):
-    fs = box([-1.0, -1.0], [1.0, 1.0])
-    assert not fs.contains(hint)
-    spec = bare_spec(quadratic_oracle(np.eye(2), -10.0 * np.ones(2)), fs)
-    plain = inner.solve_convex(spec)
-    hinted = inner.solve_convex(spec, feasible_hint=np.array(hint))
-    assert fs.contains(hinted.x_hat)
-    assert hinted.x_hat == pytest.approx([1.0, 1.0])
-    same_report(hinted, plain)
+def record_first_cuts(monkeypatch):
+    """The list that each Kelley master appends its first cut's point to."""
+    firsts = []
+    cut = inner._Master.cut
+
+    def recording(self, f, g, p, epigraph):
+        if self.cuts == 0:
+            firsts.append(p.copy())
+        return cut(self, f, g, p, epigraph)
+
+    monkeypatch.setattr(inner._Master, "cut", recording)
+    return firsts
+
+
+@pytest.mark.parametrize("build", [build_constrained, build_penalized],
+                         ids=["far", "far_penalized"])
+def test_a_hint_outside_the_set_does_not_seed_kelley(build, monkeypatch):
+    # a base point outside [-3, 3]^2 is no seed: the first cut is at the
+    # set's center, as for a spec with no linearization
+    firsts = record_first_cuts(monkeypatch)
+    p = quadratic_sdp(0)
+    x = np.array([5.0, 5.0])
+    args = (1.0,) if build is build_penalized else ()
+    spec = build(p, x, p.objective.h0.subgrad(x), *args)
+    assert not p.feasible_set.contains(x)
+    rep = inner.solve_convex(spec)
+    assert firsts[0].tolist() == p.feasible_set.center().tolist()
+    same_report(rep, inner.solve_convex(dataclasses.replace(spec, lin=None)))
+
+
+def test_kelley_makes_its_first_cut_at_each_iterate(monkeypatch):
+    """Every subproblem of a CCP and a penalty run on quadratic_sdp(0) makes
+    its first cut at the iterate it was linearized at."""
+    firsts = record_first_cuts(monkeypatch)
+    p = quadratic_sdp(0)
+    x0 = p.known_facts["strictly_feasible_point"]
+    for run in (lambda: run_ccp(p, x0, CcpConfig(max_iter=8)),
+                lambda: run_penalty_ccp(p, [2.5, -2.5], PenaltyConfig(
+                    tau0=1.0, mu=2.0, kappa=1e-7, tau_max=1e4,
+                    max_iter=8))):
+        firsts.clear()
+        trace = run()
+        # one subproblem per step, at every record but the last
+        assert len(firsts) == len(trace.records) - 1 >= 5
+        for point, record in zip(firsts, trace.records):
+            assert point.tobytes() == record.x.tobytes()
 
 
 def test_master_outgrowing_its_buffers_keeps_every_bit(monkeypatch):

@@ -64,6 +64,46 @@ def test_package_imports_only_numpy_and_the_standard_library():
         pytest.fail("\n".join(found))
 
 
+def unused_imports(source):
+    """(line, name) of each name a source imports and never uses.  A use is
+    a bare name or the root of an attribute chain; ``__future__`` imports
+    bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name)
+                      for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "import os.path\nfrom . import lp\nfrom .dc import a, b as c\n"
+              "x: a = np.eye(2)\ny = os.path.join(lp.ROOM)\n")
+    assert unused_imports(source) == [(5, "c")]
+
+
+# names a module imports only to re-export them
+REEXPORTS = {("lp.py", "UNBOUNDED")}
+
+
+def test_package_imports_only_what_it_uses():
+    # an import kept for a caller's sake (a monkeypatch target, say) pins
+    # a name the module itself does not need
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"
+             for line, name in unused_imports(path.read_text())
+             if (path.name, name) not in REEXPORTS]
+    if found:
+        pytest.fail("\n".join(found))
+
+
 def _private(dotted):
     """Whether a dotted name has a leading-underscore (not dunder) part."""
     return any(part.startswith("_") and not part.endswith("__")
